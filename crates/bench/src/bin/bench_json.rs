@@ -22,6 +22,24 @@ use llamp_util::time::us;
 use llamp_workloads::App;
 use std::time::Instant;
 
+const USAGE: &str = "\
+bench_json — machine-readable LP solver benchmark
+
+USAGE:
+  bench_json [--out FILE] [--skip-large]
+
+OPTIONS:
+  --out FILE      write the JSON here (default: BENCH_lp.json)
+  --skip-large    skip the two large tiers (a milliseconds-only run)
+  -h, --help      print this help and exit
+";
+
+/// Print `msg` and the usage to stderr, then exit 2.
+fn bad_usage(msg: &str) -> ! {
+    eprintln!("bench_json: {msg}\n\n{USAGE}");
+    std::process::exit(2);
+}
+
 struct Row {
     workload: &'static str,
     rows_raw: u64,
@@ -58,9 +76,16 @@ fn main() {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--out" => out_path = it.next().expect("--out needs a value").clone(),
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                return;
+            }
+            "--out" => match it.next() {
+                Some(v) => out_path = v.clone(),
+                None => bad_usage("--out needs a value"),
+            },
             "--skip-large" => skip_large = true,
-            other => panic!("unknown argument {other}"),
+            other => bad_usage(&format!("unknown argument {other}")),
         }
     }
 

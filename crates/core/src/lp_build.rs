@@ -217,7 +217,11 @@ impl GraphLp {
         if has_sink {
             col_status[t.0 as usize] = VarStatus::Basic;
         }
-        let plan = CrashPlan { col_status, rows };
+        let plan = CrashPlan {
+            col_status,
+            rows,
+            t_col: t.0,
+        };
 
         let lp = Self {
             model,
@@ -270,11 +274,26 @@ impl GraphLp {
         self.plan.basis_at(self.crash_kind, l_value, 0.0, 0.0)
     }
 
-    /// Compute the crash at `l_value`, seed it if the backend holds no
-    /// warm state (fresh build or after [`GraphLp::reset_backend`]), and
-    /// hand it back for the robust-resolve fallback ladder.
-    fn arm_crash(&mut self, l_value: f64) -> Basis {
-        let crash = self.crash_basis(l_value);
+    /// The crash for [`GraphLp::tolerance`]: the longest-path basis at
+    /// the answer `L*` itself, with `l` basic and `t` at its cap (see
+    /// `CrashPlan::tolerance_basis`). Falls back to the `min t` crash at
+    /// the floor where the flipped LP has no finite optimum, and under
+    /// [`CrashKind::Topological`], which does not model the flip.
+    fn tolerance_crash_basis(&self, l_floor: f64, max_runtime: f64) -> Basis {
+        let flipped = match self.crash_kind {
+            CrashKind::LongestPath => {
+                self.plan
+                    .tolerance_basis(0, [l_floor, 0.0, 0.0], max_runtime)
+            }
+            CrashKind::Topological => None,
+        };
+        flipped.unwrap_or_else(|| self.crash_basis(l_floor))
+    }
+
+    /// Seed `crash` if the backend holds no warm state (fresh build or
+    /// after [`GraphLp::reset_backend`]), and hand it back for the
+    /// robust-resolve fallback ladder.
+    fn arm(&mut self, crash: Basis) -> Basis {
         if self.backend.warm_basis().is_none() {
             self.backend.seed(&crash);
         }
@@ -315,7 +334,7 @@ impl GraphLp {
         self.model.set_var_lb(self.l, l_value);
         self.model.set_sense(Objective::Minimize);
         self.model.set_objective(&[(self.t, 1.0)]);
-        let crash = self.arm_crash(l_value);
+        let crash = self.arm(self.crash_basis(l_value));
         let sol = resolve_robust(self.backend.as_mut(), &self.model, Some(&crash))?;
         Ok(Prediction {
             runtime: sol.objective(),
@@ -331,7 +350,7 @@ impl GraphLp {
         self.model.set_var_lb(self.l, l_value);
         self.model.set_sense(Objective::Minimize);
         self.model.set_objective(&[(self.t, 1.0)]);
-        let crash = self.arm_crash(l_value);
+        let crash = self.arm(self.crash_basis(l_value));
         resolve_robust(self.backend.as_mut(), &self.model, Some(&crash))
     }
 
@@ -339,12 +358,16 @@ impl GraphLp {
     /// `t ≤ max_runtime`. Returns `f64::INFINITY` when the runtime never
     /// exceeds the cap (fully latency-hiding program) and an `Err` when
     /// even `l = l_floor` violates it.
+    ///
+    /// Without warm state the solve starts from the longest-path basis
+    /// at the answer itself (`CrashPlan::tolerance_basis`), which is
+    /// optimal up to ties, so the simplex only certifies it.
     pub fn tolerance(&mut self, l_floor: f64, max_runtime: f64) -> Result<f64, SolveError> {
         self.model.set_var_lb(self.l, l_floor);
         self.model.set_var_ub(self.t, max_runtime);
         self.model.set_sense(Objective::Maximize);
         self.model.set_objective(&[(self.l, 1.0)]);
-        let crash = self.arm_crash(l_floor);
+        let crash = self.arm(self.tolerance_crash_basis(l_floor, max_runtime));
         let out = match resolve_robust(self.backend.as_mut(), &self.model, Some(&crash)) {
             Ok(sol) => Ok(sol.value(self.l)),
             Err(SolveError::Unbounded) => Ok(f64::INFINITY),
@@ -457,6 +480,38 @@ mod tests {
         let mut lp = GraphLp::build(&g.contracted(), &didactic());
         let tol = lp.tolerance(0.0, 2_000.0).unwrap();
         assert!((tol - 885.0).abs() < 1e-6, "{tol}");
+    }
+
+    #[test]
+    fn fresh_tolerance_certifies_the_flipped_crash() {
+        let g = running_example(0.1);
+        let mut lp = GraphLp::build(&g.contracted(), &didactic());
+        let tol = lp.tolerance(0.0, 2_000.0).unwrap();
+        assert!((tol - 885.0).abs() < 1e-6, "{tol}");
+        let st = lp.solver_stats();
+        assert_eq!((st.phase1_iterations, st.pivots), (0, 0), "{st:?}");
+    }
+
+    #[test]
+    fn latency_free_tolerance_is_infinite() {
+        let set = ProgramSet::spmd(2, |_, b| {
+            b.comp(us(1.0));
+        });
+        let g = build_graph(&set.trace(&TracerConfig::default()), &GraphConfig::eager())
+            .unwrap()
+            .contracted();
+        let mut lp = GraphLp::build(&g, &didactic());
+        assert_eq!(lp.tolerance(0.0, 2_000.0).unwrap(), f64::INFINITY);
+    }
+
+    #[test]
+    fn tolerance_cap_at_a_breakpoint_is_exact() {
+        // T = 1.5 µs up to the critical latency 0.385 µs, then rises
+        // with slope 1: a cap of exactly 1.5 µs ties at the breakpoint.
+        let g = running_example(0.1);
+        let mut lp = GraphLp::build(&g.contracted(), &didactic());
+        let tol = lp.tolerance(0.0, 1_500.0).unwrap();
+        assert!((tol - 385.0).abs() < 1e-9 * 385.0, "{tol}");
     }
 
     #[test]

@@ -290,7 +290,11 @@ impl GraphMultiLp {
         if has_sink {
             col_status[t.0 as usize] = VarStatus::Basic;
         }
-        let plan = CrashPlan { col_status, rows };
+        let plan = CrashPlan {
+            col_status,
+            rows,
+            t_col: t.0,
+        };
 
         let lp = Self {
             model,
@@ -344,10 +348,24 @@ impl GraphMultiLp {
         self.plan.basis_at(self.crash_kind, at.l, at.g, at.o)
     }
 
-    /// Compute the crash at `at`, seed it if the backend holds no warm
-    /// state, and hand it back for the robust-resolve fallback ladder.
-    fn arm_crash(&mut self, at: ParamPoint) -> Basis {
-        let crash = self.crash_basis(at);
+    /// The crash for [`GraphMultiLp::tolerance`] along `p`: the
+    /// longest-path basis at the answer itself, with `p`'s column basic
+    /// and `t` at its cap (see `CrashPlan::tolerance_basis`).
+    fn tolerance_crash_basis(&self, p: SweepParam, at: ParamPoint, max_runtime: f64) -> Basis {
+        let axis = self.param_var(p).0 as usize;
+        let flipped = match self.crash_kind {
+            CrashKind::LongestPath => {
+                self.plan
+                    .tolerance_basis(axis, [at.l, at.g, at.o], max_runtime)
+            }
+            CrashKind::Topological => None,
+        };
+        flipped.unwrap_or_else(|| self.crash_basis(at))
+    }
+
+    /// Seed `crash` if the backend holds no warm state, and hand it back
+    /// for the robust-resolve fallback ladder.
+    fn arm(&mut self, crash: Basis) -> Basis {
         if self.backend.warm_basis().is_none() {
             self.backend.seed(&crash);
         }
@@ -394,7 +412,7 @@ impl GraphMultiLp {
         self.model.set_var_lb(self.o, at.o);
         self.model.set_sense(Objective::Minimize);
         self.model.set_objective(&[(self.t, 1.0)]);
-        let crash = self.arm_crash(at);
+        let crash = self.arm(self.crash_basis(at));
         let sol = resolve_robust(self.backend.as_mut(), &self.model, Some(&crash))?;
         Ok(MultiPrediction {
             runtime: sol.objective(),
@@ -416,7 +434,7 @@ impl GraphMultiLp {
         self.model.set_var_lb(self.o, at.o);
         self.model.set_sense(Objective::Minimize);
         self.model.set_objective(&[(self.t, 1.0)]);
-        let crash = self.arm_crash(at);
+        let crash = self.arm(self.crash_basis(at));
         resolve_robust(self.backend.as_mut(), &self.model, Some(&crash))
     }
 
@@ -424,6 +442,9 @@ impl GraphMultiLp {
     /// parameter subject to `t ≤ max_runtime`, the other two pinned at
     /// `at`'s values. Returns `f64::INFINITY` when the runtime never
     /// exceeds the cap and an `Err` when even the floor violates it.
+    ///
+    /// Without warm state the solve starts from the longest-path basis
+    /// at the answer itself, as in [`crate::lp_build::GraphLp::tolerance`].
     pub fn tolerance(
         &mut self,
         p: SweepParam,
@@ -437,7 +458,7 @@ impl GraphMultiLp {
         self.model.set_var_ub(self.t, max_runtime);
         self.model.set_sense(Objective::Maximize);
         self.model.set_objective(&[(var, 1.0)]);
-        let crash = self.arm_crash(at);
+        let crash = self.arm(self.tolerance_crash_basis(p, at, max_runtime));
         let out = match resolve_robust(self.backend.as_mut(), &self.model, Some(&crash)) {
             Ok(sol) => Ok(sol.value(var)),
             Err(SolveError::Unbounded) => Ok(f64::INFINITY),

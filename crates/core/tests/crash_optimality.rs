@@ -9,12 +9,20 @@
 //! exchanges, just the optimality pricing pass. And the objective it
 //! certifies equals the forward longest-path evaluation.
 //!
+//! The same holds for the tolerance flip (§II-D2, `max l` s.t.
+//! `t ≤ cap`): the flipped crash — the longest-path basis at the answer
+//! `L*`, found by a Newton descent on `T`, with `l` basic and `t` at its
+//! cap — certifies without pivots, and its answer equals the envelope's
+//! inverse and the anchor-seeded solve.
+//!
 //! Random programs are generated as sequences of deadlock-free phases
 //! (per-rank compute, allreduce, barrier, a rank chain), with compute
 //! times drawn from a small integer grid so exact ties — the degenerate
 //! case a longest-path crash mass-produces — occur constantly.
 
-use llamp_core::{evaluate, Binding, CrashKind, GraphLp};
+use llamp_core::{
+    evaluate, Binding, CrashKind, GraphLp, GraphMultiLp, ParamPoint, ParametricProfile, SweepParam,
+};
 use llamp_model::LogGPSParams;
 use llamp_schedgen::{build_graph, ExecGraph, GraphConfig};
 use llamp_trace::{ProgramSet, TracerConfig};
@@ -115,6 +123,79 @@ fn assert_crash_is_optimal(g: &ExecGraph, binding: &Binding, l: f64) {
     );
 }
 
+/// Upper end of the envelope window the tolerances are checked in.
+const SEARCH_HI: f64 = 1e12;
+
+/// `a` and `b` agree to 1e-9 relative (both infinite counts as equal).
+fn assert_close(a: f64, b: f64, what: &str) {
+    if a.is_infinite() || b.is_infinite() {
+        assert_eq!(a, b, "{what}");
+    } else {
+        assert!(
+            (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0),
+            "{what}: {a} vs {b}"
+        );
+    }
+}
+
+/// The flipped-crash battery for one (graph, floor) pair at the caps
+/// 1, 2, 5 and 50 % above `T(floor)`.
+fn assert_flipped_crash_is_optimal(g: &ExecGraph, params: &LogGPSParams, floor: f64) {
+    let reduced = g.contracted();
+    let binding = Binding::uniform(params);
+    let t0 = evaluate(&reduced, &binding, floor).runtime;
+    let profile = ParametricProfile::compute(&reduced, &binding, (floor, SEARCH_HI));
+    let at = ParamPoint {
+        l: floor,
+        g: params.big_g,
+        o: params.o,
+    };
+    for pct in [1.0, 2.0, 5.0, 50.0] {
+        let cap = t0 * (1.0 + pct / 100.0);
+        let what = format!("floor {floor}, cap +{pct}%");
+        let envelope = match profile.tolerance(cap) {
+            Some(x) if x >= SEARCH_HI => f64::INFINITY,
+            Some(x) => x,
+            None => panic!("{what}: envelope finds the floor infeasible"),
+        };
+
+        // A fresh instance seeds the flipped crash: no pivots at all.
+        let mut lp = GraphLp::build_named(&reduced, &binding, "sparse").unwrap();
+        let tol = lp
+            .tolerance(floor, cap)
+            .expect("flipped-crash solve succeeds");
+        let st = lp.solver_stats();
+        assert_eq!(st.phase1_iterations, 0, "{what}: flipped crash infeasible");
+        assert_eq!(st.pivots, 0, "{what}: flipped crash not optimal");
+        assert_close(tol, envelope, &format!("{what}: LP vs envelope"));
+
+        // The anchor-seeded path reaches the same answer.
+        let mut anchored = GraphLp::build_named(&reduced, &binding, "sparse").unwrap();
+        anchored.predict(floor).unwrap();
+        let anchor = anchored.warm_basis().unwrap();
+        anchored.seed_backend(&anchor);
+        let a = anchored.tolerance(floor, cap).unwrap();
+        assert_close(tol, a, &format!("{what}: flipped vs anchor-seeded"));
+
+        // The multi-parameter LP along L, G and o pinned at base.
+        let mut multi = GraphMultiLp::build_named(&reduced, &binding, "sparse").unwrap();
+        let m = multi.tolerance(SweepParam::L, at, cap).unwrap();
+        let st = multi.solver_stats();
+        assert_eq!(
+            st.phase1_iterations, 0,
+            "{what}: multi flipped crash infeasible"
+        );
+        assert_eq!(st.pivots, 0, "{what}: multi flipped crash not optimal");
+        assert_close(m, envelope, &format!("{what}: multi LP vs envelope"));
+        let mut anchored = GraphMultiLp::build_named(&reduced, &binding, "sparse").unwrap();
+        anchored.predict(at).unwrap();
+        let anchor = anchored.warm_basis().unwrap();
+        anchored.seed_backend(&anchor);
+        let a = anchored.tolerance(SweepParam::L, at, cap).unwrap();
+        assert_close(m, a, &format!("{what}: multi flipped vs anchor-seeded"));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -124,6 +205,14 @@ proptest! {
         let binding = Binding::uniform(&LogGPSParams::didactic());
         for l in [0.0, 385.0, us(1.0), us(20.0)] {
             assert_crash_is_optimal(&g, &binding, l);
+        }
+    }
+
+    #[test]
+    fn flipped_crash_certifies_tolerance_without_pivots((ranks, phases) in program_strategy()) {
+        let g = graph_of(ranks, &phases);
+        for floor in [0.0, us(1.0)] {
+            assert_flipped_crash_is_optimal(&g, &LogGPSParams::didactic(), floor);
         }
     }
 }
@@ -152,4 +241,22 @@ fn degenerate_tie_graphs_still_need_no_pivots() {
     // Zero-cost compute: every potential is identical (maximal ties).
     let g = graph_of(4, &[Phase::Comp(vec![0; 4]), Phase::Barrier]);
     assert_crash_is_optimal(&g, &binding, 0.0);
+}
+
+/// The tie-heavy shapes again, through the tolerance flip: every rank
+/// path reaches the cap at the same `L*`.
+#[test]
+fn degenerate_tie_graphs_flip_without_pivots() {
+    for ranks in [2, 4, 8] {
+        let g = graph_of(
+            ranks,
+            &[
+                Phase::Comp(vec![3; ranks]),
+                Phase::Allreduce(512),
+                Phase::Comp(vec![1; ranks]),
+                Phase::Barrier,
+            ],
+        );
+        assert_flipped_crash_is_optimal(&g, &LogGPSParams::didactic(), 0.0);
+    }
 }

@@ -358,8 +358,9 @@ impl Scenario {
                 let mut lp = analyzer
                     .lp_named(solver.solver_name())
                     .expect("LpSolver names map onto llamp-lp backends");
-                // One cold anchor solve at the base latency; every grid
-                // point and tolerance flip warm-starts from this basis.
+                // One cold anchor solve at the base latency; under the
+                // anchor policy every grid point warm-starts from this
+                // basis (zones start cold, see below).
                 // Seeding from a shared anchor — rather than chaining each
                 // warm solve off the previous one — keeps every answer a
                 // pure function of (scenario, query): chained trajectories
@@ -459,15 +460,16 @@ impl Scenario {
                     }
                 }
                 let zones = if need_zones {
-                    // Zones stay anchor-seeded under every sweep-start
-                    // policy: the tolerance flip changes the objective,
-                    // which the crash plan does not model, and the zones
-                    // are pure functions of the anchor basis — so policy
-                    // cannot change their bytes by construction.
+                    // Zones start cold under every sweep-start policy:
+                    // `tolerance` then seeds the flipped crash, the
+                    // longest-path basis at the answer L* itself, which
+                    // the simplex certifies without pivoting. Each zone is
+                    // a pure function of (scenario, cap), so policy
+                    // cannot change its bytes.
                     let t0 = anchor.runtime;
                     let mut zone = |pct: f64| -> Result<f64, String> {
                         let cap = t0 * (1.0 + pct / 100.0);
-                        seed(&mut lp);
+                        lp.reset_backend();
                         let l = llamp_obs::time("lp.zone_ns", || lp.tolerance(base, cap))
                             .map_err(|e| format!("LP tolerance solve failed: {e:?}"))?;
                         Ok(if l - base >= self.grid.search_hi_ns {
@@ -503,9 +505,9 @@ impl Scenario {
     /// basis and re-solves with moved bounds — consecutive points of a
     /// 1-D cross-section differ in a single lower bound, which the
     /// parametric backend's directional shortcut answers with zero
-    /// pivots. Every answer stays a pure function of (scenario, point),
-    /// so results are byte-identical across `lp-*` backends and cache
-    /// states.
+    /// pivots. Zones start cold from the flipped crash along `L`. Every
+    /// answer stays a pure function of (scenario, point), so results are
+    /// byte-identical across `lp-*` backends and cache states.
     pub fn compute_axes(
         &self,
         analyzer: &Analyzer,
@@ -605,10 +607,11 @@ impl Scenario {
                     ));
                 }
                 let zones = if need_zones {
+                    // Cold, from the flipped crash (see `compute_with`).
                     let t0 = anchor.runtime;
                     let mut zone = |pct: f64| -> Result<f64, String> {
                         let cap = t0 * (1.0 + pct / 100.0);
-                        seed(&mut lp);
+                        lp.reset_backend();
                         let l = llamp_obs::time("lp.zone_ns", || {
                             lp.tolerance(SweepParam::L, base, cap)
                         })

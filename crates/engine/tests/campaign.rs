@@ -402,12 +402,14 @@ iters = 1
 }
 
 #[test]
-fn axes_cross_sections_solve_warm_from_one_anchor() {
-    // The acceptance bar: one cold anchor per scenario, every grid
-    // cross-section warm. Compare the solver effort of the full 2-D grid
-    // against a single-point campaign (the anchor alone): the 5 extra
-    // points and 3 zone flips together must cost less than the anchor
-    // did, which is only possible if they all start from its basis.
+fn axes_zone_flips_are_pivot_free_and_cross_sections_warm() {
+    // One cold anchor per scenario, every grid cross-section re-solved
+    // from its basis, every zone flip certified from its own crash.
+    // Zone flips take no pivots at all, so a single-point campaign (the
+    // anchor, its own point and the 3 flips) pivots nowhere. The 5 extra
+    // points of the 2-D grid, re-seeded from the anchor, must together
+    // cost less than one cold solve of the same LP from the historic
+    // topological crash — only possible if they start from the anchor.
     let one_point = CampaignSpec::parse(
         r#"
 name = "anchor-only"
@@ -432,13 +434,22 @@ iters = 1
     grid.canonicalize();
     let (_, s_anchor) = run_campaign(&one_point, &config(1), &ResultCache::new());
     let (_, s_grid) = run_campaign(&grid, &config(1), &ResultCache::new());
-    let anchor_iters = s_anchor.solver.iterations;
-    assert!(anchor_iters > 0);
+    assert_eq!(s_anchor.solver.pivots, 0, "{:?}", s_anchor.solver);
+    assert_eq!(
+        s_anchor.solver.phase1_iterations, 0,
+        "{:?}",
+        s_anchor.solver
+    );
+
+    let sc = &llamp_engine::expand(&one_point)[0];
+    let analyzer = sc.build_analyzer().unwrap();
+    let mut cold = analyzer.multi_lp_named("parametric").unwrap();
+    cold.set_crash_kind(llamp_core::CrashKind::Topological);
+    let cold_iters = cold.predict(analyzer.base_point()).unwrap().iterations;
+    let extra_points = s_grid.solver.iterations - s_anchor.solver.iterations;
     assert!(
-        s_grid.solver.iterations < 2 * anchor_iters,
-        "6-point grid ({} iters) must stay warm relative to its anchor ({} iters)",
-        s_grid.solver.iterations,
-        anchor_iters
+        extra_points < cold_iters,
+        "5 extra grid points ({extra_points} iters) must stay warm relative to a cold solve ({cold_iters} iters)"
     );
 }
 
