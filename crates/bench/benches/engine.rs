@@ -4,9 +4,8 @@
 //! over a 5-point grid) at 1, 2 and N worker threads, cold-cache vs.
 //! warm-cache. The warm rows quantify the full-cache-hit fast path (no
 //! graph builds at all); the thread rows quantify executor scaling. A
-//! second group runs the same campaign through each LP solver variant
-//! (`lp-dense` / `lp-sparse` / `lp-parametric`), reporting the
-//! sparse-vs-dense and warm-vs-cold speedups at campaign granularity.
+//! second group runs a small campaign through the LP backend
+//! (`lp-sparse`, crash-started per point).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use llamp_bench::{app_campaign_spec, campaign_grid};
@@ -76,10 +75,8 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
-/// The same campaign answered by each LP solver variant (all re-solve
-/// per grid point through their warm-start path; they differ in the
-/// factorisation — dense inverse vs. sparse LU — and in the parametric
-/// variant's pivot-free basis-stability shortcut).
+/// A small campaign answered by the LP backend, every grid point from
+/// its own longest-path crash basis.
 fn bench_lp_backends(c: &mut Criterion) {
     // Two medium workloads over a 9-point grid keeps the dense row under
     // bench-friendly cost while still showing the per-point re-solve gap.
@@ -87,16 +84,14 @@ fn bench_lp_backends(c: &mut Criterion) {
     let grid = || campaign_grid(0.0, us(60.0), 9, us(1_000.0));
     let mut group = c.benchmark_group("engine_lp_backends");
     group.sample_size(2);
-    for solver in [LpSolver::Dense, LpSolver::Sparse, LpSolver::Parametric] {
-        let backend = Backend::Lp(solver);
-        let spec = app_campaign_spec(&apps, &[backend], grid());
-        group.bench_function(BenchmarkId::from_parameter(backend.name()), |b| {
-            b.iter(|| {
-                let cache = ResultCache::new();
-                black_box(run_campaign(&spec, &ExecutorConfig::default(), &cache))
-            })
-        });
-    }
+    let backend = Backend::Lp(LpSolver::Sparse);
+    let spec = app_campaign_spec(&apps, &[backend], grid());
+    group.bench_function(BenchmarkId::from_parameter(backend.name()), |b| {
+        b.iter(|| {
+            let cache = ResultCache::new();
+            black_box(run_campaign(&spec, &ExecutorConfig::default(), &cache))
+        })
+    });
     group.finish();
 }
 

@@ -6,10 +6,6 @@
 //! point-for-point. Because scenario results are deterministic and
 //! cache-addressed, the agreement check is exactly the engine's
 //! cross-backend contract: all three must predict the same `T(L)`.
-//!
-//! The dense-inverse simplex is O(rows²) per pivot, so the LP campaign
-//! only includes applications whose contracted model stays below the row
-//! cap (DESIGN.md §5 designates the envelope as the at-scale path).
 
 use llamp_bench::{app_campaign_spec, campaign_grid, graph_of, Table};
 use llamp_core::{Binding, GraphLp};
@@ -19,15 +15,13 @@ use llamp_util::time::us;
 use llamp_workloads::App;
 use std::time::Instant;
 
-const ROW_CAP: usize = 2_500;
-
 fn main() {
     let ranks = 8u32;
     let iters = 2usize;
     println!("# Ablation — simplex vs. parametric vs. direct evaluation (engine campaigns)\n");
 
-    // Probe model sizes once to decide LP eligibility. The probe's graphs
-    // are discarded and each campaign rebuilds its own per scenario — the
+    // Probe model sizes once for the table. The probe's graphs are
+    // discarded and each campaign rebuilds its own per scenario — the
     // engine owns graph construction so results stay cache-addressable —
     // which keeps the wall-clock column comparable across backends (every
     // campaign pays the identical build cost) at the price of redundant
@@ -41,27 +35,18 @@ fn main() {
     }
 
     let all: Vec<(App, u32, usize)> = App::ALL.iter().map(|&a| (a, ranks, iters)).collect();
-    let lp_apps: Vec<(App, u32, usize)> = rows_of
-        .iter()
-        .filter(|(_, rows)| *rows <= ROW_CAP)
-        .map(|&(a, _)| (a, ranks, iters))
-        .collect();
     let grid = || campaign_grid(0.0, us(60.0), 3, us(2_000.0));
 
     // One campaign per backend, individually timed. Fresh caches keep the
     // timing honest (no cross-backend reuse — keys differ per backend
     // anyway).
     let mut campaigns = Vec::new();
-    for (backend, apps) in [
-        (Backend::Eval, &all),
-        (Backend::Parametric, &all),
-        // Sparse and warm-started LP cover every app; the dense inverse
-        // stays behind the row cap.
-        (Backend::Lp(LpSolver::Sparse), &all),
-        (Backend::Lp(LpSolver::Parametric), &all),
-        (Backend::Lp(LpSolver::Dense), &lp_apps),
+    for backend in [
+        Backend::Eval,
+        Backend::Parametric,
+        Backend::Lp(LpSolver::Sparse),
     ] {
-        let spec = app_campaign_spec(apps, &[backend], grid());
+        let spec = app_campaign_spec(&all, &[backend], grid());
         let t0 = Instant::now();
         let (result, summary) =
             run_campaign(&spec, &ExecutorConfig::default(), &ResultCache::new());
@@ -79,23 +64,21 @@ fn main() {
             })
     };
 
-    let mut t = Table::new(&["app", "LP rows", "simplex", "max |ΔT|/T", "λ agree"]);
+    let mut t = Table::new(&["app", "LP rows", "max |ΔT|/T", "λ agree"]);
     for &(app, rows) in &rows_of {
         let eval = find(Backend::Eval, app).expect("eval campaign covers all apps");
         let envl = find(Backend::Parametric, app).expect("parametric campaign covers all apps");
-        let lp = find(Backend::Lp(LpSolver::Sparse), app);
+        let lp = find(Backend::Lp(LpSolver::Sparse), app).expect("LP campaign covers all apps");
         let pe = &eval.outcome.as_ref().unwrap().sweep;
         let pp = &envl.outcome.as_ref().unwrap().sweep;
-        let pl = lp.map(|s| &s.outcome.as_ref().unwrap().sweep);
+        let pl = &lp.outcome.as_ref().unwrap().sweep;
 
         let mut max_rel = 0.0f64;
         let mut lambda_ok = true;
         for i in 0..pe.len() {
             let base = pe[i].runtime_ns.max(1.0);
             max_rel = max_rel.max((pp[i].runtime_ns - pe[i].runtime_ns).abs() / base);
-            if let Some(pl) = pl {
-                max_rel = max_rel.max((pl[i].runtime_ns - pe[i].runtime_ns).abs() / base);
-            }
+            max_rel = max_rel.max((pl[i].runtime_ns - pe[i].runtime_ns).abs() / base);
             // λ: envelope (right derivative) vs. evaluation; the LP may
             // legitimately return another subgradient at breakpoints.
             if (pp[i].lambda - pe[i].lambda).abs() > 1e-6 {
@@ -105,11 +88,6 @@ fn main() {
         t.row(vec![
             app.name().into(),
             rows.to_string(),
-            if pl.is_some() {
-                "yes".into()
-            } else {
-                "-".into()
-            },
             format!("{max_rel:.2e}"),
             if lambda_ok { "yes".into() } else { "NO".into() },
         ]);

@@ -13,7 +13,8 @@
 //! default since ISSUE 5), per-stage wall clocks for trace ingestion and
 //! graph reduction, the *cold* sparse anchor solve on the reduced LP (the
 //! price every campaign pays once per scenario), a warm 64-point sweep
-//! through the parametric backend, and the solver's iteration count.
+//! with every point seeded from the anchor basis, and the solver's
+//! iteration count.
 
 use llamp_bench::{graph_of, linspace};
 use llamp_core::{Binding, CrashKind, GraphLp, ReduceConfig};
@@ -113,10 +114,10 @@ fn main() {
         // cost. Best of three fresh solves, so one cold-cache outlier
         // cannot distort the tracked trajectory.
         let mut cold_anchor_ms = f64::INFINITY;
-        let mut lp = GraphLp::build_named(graph, &binding, "sparse").unwrap();
+        let mut lp = GraphLp::build(graph, &binding);
         let mut anchor = lp.predict(params.l).expect("anchor solves");
         for _ in 0..3 {
-            lp = GraphLp::build_named(graph, &binding, "sparse").unwrap();
+            lp = GraphLp::build(graph, &binding);
             let t0 = Instant::now();
             anchor = lp.predict(params.l).expect("anchor solves");
             cold_anchor_ms = cold_anchor_ms.min(t0.elapsed().as_secs_f64() * 1e3);
@@ -125,18 +126,17 @@ fn main() {
         // Crash comparison: the same cold anchor from the historic
         // topological (largest-constant) heuristic, tracking what the
         // exact longest-path crash saves in iterations.
-        let mut topo = GraphLp::build_named(graph, &binding, "sparse").unwrap();
+        let mut topo = GraphLp::build(graph, &binding);
         topo.set_crash_kind(CrashKind::Topological);
         let crash_topo_iterations = topo.predict(params.l).expect("anchor solves").iterations;
 
-        // Warm sweep: every point seeded from the anchor basis — the
-        // engine's access pattern under the `anchor` sweep-start policy
-        // (what `auto` resolves to below the 10k-row threshold). The
-        // recorder counts how many factorisations the shared-LU path
-        // saves even here: stability-window points adopt the previous
-        // point's LU at install.
+        // Warm sweep: every point seeded from the anchor basis (the
+        // engine instead crash-starts every point; this row tracks the
+        // warm-start path). The recorder counts how many factorisations
+        // the shared-LU path saves: stability-window points adopt the
+        // previous point's LU at install.
         let anchor_basis = lp.warm_basis().expect("anchor leaves a basis");
-        let mut warm = GraphLp::build_named(graph, &binding, "parametric").unwrap();
+        let mut warm = GraphLp::build(graph, &binding);
         warm.seed_backend(&anchor_basis);
         llamp_obs::enable();
         let t1 = Instant::now();
@@ -195,8 +195,7 @@ fn main() {
     //   anchor a factorisation plus one pricing pass (no pivots), so the
     //   anchor lands well under a second where the topological heuristic
     //   took minutes. The 64-point sweep here starts every point from
-    //   its own crash basis (the `crash` sweep-start policy, what `auto`
-    //   resolves to above 10k rows): at this scale the crash is optimal
+    //   its own crash basis, as the engine does: at this scale the crash is optimal
     //   at the point, so a "cold" start beats warm re-solves from the
     //   anchor basis, whose far points pay thousands of pivots (measured
     //   ~25 min for the same sweep). Two effects stack on top: inside a
@@ -243,7 +242,7 @@ fn main() {
         let params_l = LogGPSParams::cscs_testbed(raw.nranks()).with_o(us(6.0));
         let binding_l = Binding::uniform(&params_l);
         let graph = rn.graph();
-        let mut lp = GraphLp::build_named(graph, &binding_l, "sparse").unwrap();
+        let mut lp = GraphLp::build(graph, &binding_l);
         let t_cold = Instant::now();
         let anchor = lp.predict(params_l.l).expect("large anchor solves");
         let cold_anchor_ms = t_cold.elapsed().as_secs_f64() * 1e3;
@@ -278,7 +277,7 @@ fn main() {
         };
         let t_shard = Instant::now();
         let outs = llamp_engine::run_jobs(&cfg, chunks, |chunk: &Vec<f64>| {
-            let mut lp = GraphLp::build_named(graph, &binding_l, "sparse").unwrap();
+            let mut lp = GraphLp::build(graph, &binding_l);
             let mut rts = Vec::with_capacity(chunk.len());
             for &d in chunk {
                 lp.reset_backend();

@@ -62,7 +62,7 @@ fn main() {
         },
         axes: vec![],
         reduce: true,
-        sweep_start: SweepStart::Auto,
+        sweep_start: SweepStart::Crash,
     };
     spec.canonicalize();
 

@@ -1,6 +1,6 @@
 //! L × G heatmap — the flagship multi-parameter (axes) campaign: one
 //! workload swept over the cartesian product of added latency `∆L` and
-//! added per-byte gap `∆G`, answered by the warm-started multi-parameter
+//! added per-byte gap `∆G`, answered by the crash-started multi-parameter
 //! LP. Each cell reports the slowdown relative to the base point; the
 //! companion table shows how the sensitivity pair `(λ_L, λ_G)` moves as
 //! either parameter starts dominating the critical path.
@@ -23,7 +23,7 @@ fn main() {
     let g_deltas = g_axis.deltas.clone();
     let spec = app_campaign_axes_spec(
         &[(app, ranks, iters)],
-        &[Backend::Lp(LpSolver::Parametric)],
+        &[Backend::Lp(LpSolver::Sparse)],
         vec![l_axis, g_axis],
         us(2_000.0),
     );
@@ -60,8 +60,5 @@ fn main() {
     println!("\n# sensitivities λ_L / λ_G per cell\n");
     println!("{}", lams.render());
     eprintln!("\n{}", summary.render());
-    let solver = summary.render_solver_stats();
-    if !solver.is_empty() {
-        eprintln!("{solver}");
-    }
+    eprintln!("lp solver totals\n{}", summary.solver.render());
 }

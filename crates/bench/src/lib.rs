@@ -141,7 +141,7 @@ pub fn app_campaign_spec(
         grid,
         axes: vec![],
         reduce: true,
-        sweep_start: SweepStart::Auto,
+        sweep_start: SweepStart::Crash,
     };
     spec.canonicalize();
     spec

@@ -37,7 +37,7 @@ fn cold_anchor_scales_near_linearly() {
     let rows = reduced.stats().rows_after;
     assert!(rows > 30_000, "shape shrank: {rows} rows");
 
-    let mut lp = GraphLp::build_named(graph, &binding, "sparse").unwrap();
+    let mut lp = GraphLp::build(graph, &binding);
     let start = Instant::now();
     let anchor = lp.predict(params.l).expect("anchor solves");
     let elapsed = start.elapsed().as_secs_f64();
@@ -85,12 +85,12 @@ fn anchor_ladder() {
         let binding = Binding::uniform(&params);
         let rows = reduced.stats().rows_after;
 
-        let mut lp = GraphLp::build_named(graph, &binding, "sparse").unwrap();
+        let mut lp = GraphLp::build(graph, &binding);
         let t0 = Instant::now();
         let anchor = lp.predict(params.l).expect("anchor solves");
         let crash_s = t0.elapsed().as_secs_f64();
 
-        let mut topo = GraphLp::build_named(graph, &binding, "sparse").unwrap();
+        let mut topo = GraphLp::build(graph, &binding);
         topo.set_crash_kind(CrashKind::Topological);
         let t1 = Instant::now();
         let heur = topo.predict(params.l).expect("anchor solves");

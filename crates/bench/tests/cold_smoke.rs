@@ -31,10 +31,10 @@ fn lulesh_cold_anchor_stays_cheap() {
     let graph = graph_of(&App::Lulesh.programs(8, 1)).contracted();
 
     // Throwaway pass to warm caches/allocator before timing.
-    let mut lp = GraphLp::build_named(&graph, &binding, "sparse").unwrap();
+    let mut lp = GraphLp::build(&graph, &binding);
     lp.predict(params.l).expect("anchor solves");
 
-    let mut lp = GraphLp::build_named(&graph, &binding, "sparse").unwrap();
+    let mut lp = GraphLp::build(&graph, &binding);
     let start = Instant::now();
     let anchor = lp.predict(params.l).expect("anchor solves");
     let elapsed = start.elapsed().as_secs_f64();

@@ -42,7 +42,7 @@ fn crash_start_sweep_stays_cheap_at_32k_rows() {
     let deltas = linspace(0.0, us(60.0), 64);
 
     llamp_obs::enable();
-    let mut lp = GraphLp::build_named(graph, &binding, "sparse").unwrap();
+    let mut lp = GraphLp::build(graph, &binding);
     let start = Instant::now();
     let mut acc = 0.0;
     for &d in &deltas {

@@ -40,6 +40,10 @@ pub struct SweepPoint {
     pub rho: f64,
 }
 
+/// The name [`Analyzer::lp_named`] and [`Analyzer::multi_lp_named`]
+/// accept: the sparse simplex, the one LP solver.
+pub const SOLVER_NAME: &str = "sparse";
+
 /// Analysis driver for one execution graph under one network binding.
 #[derive(Debug, Clone)]
 pub struct Analyzer {
@@ -128,17 +132,16 @@ impl Analyzer {
         self.evaluate(self.base_l).runtime
     }
 
-    /// Build the LP form (Algorithm 1) for solver-based queries, answered
-    /// by the default backend (warm-started sparse simplex with the
-    /// parametric shortcut).
+    /// Build the LP form (Algorithm 1) for solver-based queries.
     pub fn lp(&self) -> GraphLp {
         GraphLp::build(&self.graph, &self.binding)
     }
 
-    /// Build the LP form with a named solver backend (`"dense"`,
-    /// `"sparse"` or `"parametric"`). `None` for an unknown name.
-    pub fn lp_named(&self, backend: &str) -> Option<GraphLp> {
-        GraphLp::build_named(&self.graph, &self.binding, backend)
+    /// [`Analyzer::lp`] for callers that carry a solver name: `"sparse"`
+    /// is the only one, anything else gives `None`. Kept because the
+    /// perfbench probe builds its LPs through it.
+    pub fn lp_named(&self, solver: &str) -> Option<GraphLp> {
+        (solver == SOLVER_NAME).then(|| self.lp())
     }
 
     /// Base value of one sweep parameter: the point the campaign's delta
@@ -159,14 +162,14 @@ impl Analyzer {
     }
 
     /// Build the multi-parameter LP (symbolic `L`, `G`, `o`; see
-    /// [`crate::multi_lp::GraphMultiLp`]) with the default backend.
+    /// [`crate::multi_lp::GraphMultiLp`]).
     pub fn multi_lp(&self) -> crate::multi_lp::GraphMultiLp {
         crate::multi_lp::GraphMultiLp::build(&self.graph, &self.binding)
     }
 
-    /// Build the multi-parameter LP with a named solver backend.
-    pub fn multi_lp_named(&self, backend: &str) -> Option<crate::multi_lp::GraphMultiLp> {
-        crate::multi_lp::GraphMultiLp::build_named(&self.graph, &self.binding, backend)
+    /// [`Analyzer::multi_lp`] by solver name, as [`Analyzer::lp_named`].
+    pub fn multi_lp_named(&self, solver: &str) -> Option<crate::multi_lp::GraphMultiLp> {
+        (solver == SOLVER_NAME).then(|| self.multi_lp())
     }
 
     /// Direct evaluation at an arbitrary `(L, G, o)` point, with the full

@@ -28,7 +28,7 @@
 //!
 //! Ties break toward the lowest row index (strict `>` replacement), so a
 //! plan instantiated at the same point is bit-identical everywhere — the
-//! property the cross-backend byte-identity contract needs from a seed.
+//! property the engine's byte-identity contract needs from a seed.
 //!
 //! The tolerance flip (`max l` s.t. `t ≤ cap`) has a known optimal basis
 //! too: the longest-path basis at the answer `L*`, with `l` basic and
@@ -268,7 +268,7 @@ impl CrashPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llamp_lp::backend::{SolverBackend, SparseSimplex};
+    use llamp_lp::SparseSimplex;
     use llamp_lp::{LpModel, Objective, Relation, VarId};
 
     /// Diamond: t ≥ y; y ≥ 1 + 2l (edge A), y ≥ 3 (edge B). Below
@@ -358,9 +358,9 @@ mod tests {
     /// Certify `basis` on the flipped LP: (tolerance, pivots).
     fn certify(plan: &CrashPlan, basis: &Basis, cap: f64) -> (f64, u64) {
         let (m, l) = flipped_lp(plan, 0.0, cap);
-        let mut backend = SparseSimplex::default();
-        backend.seed(basis);
-        let sol = backend.resolve(&m).unwrap();
+        let mut solver = SparseSimplex::default();
+        solver.seed(basis);
+        let sol = solver.resolve(&m).unwrap();
         (
             sol.value(l),
             sol.stats().pivots + sol.stats().phase1_iterations,

@@ -12,17 +12,16 @@
 //! one solve, and per-parameter basis-stability windows come from the
 //! same ranging machinery Algorithm 2 uses for `L`.
 //!
-//! Warm starts work unchanged: a solution's basis outlives bound edits,
-//! so a campaign answers one cold anchor per scenario and every grid
-//! cross-section — fix all axes but one, step the last — re-seeds from
-//! that anchor and re-solves in a handful (usually zero) of pivots.
+//! As in `GraphLp`, each query without warm state starts from the
+//! longest-path crash basis at its own `(L, G, o)` point, so a campaign
+//! answers most grid points with zero pivots.
 
 use crate::binding::{Binding, SweepParam};
 use crate::crash::{CrashKind, CrashPlan, CrashRow, NO_BASE};
 use crate::lowering::lower_walk;
-use llamp_lp::backend::{by_name, Parametric, SolverBackend};
 use llamp_lp::{
-    resolve_robust, Basis, LpModel, Objective, Relation, Solution, SolveError, SolveStats, VarId,
+    resolve_robust, Basis, LpModel, Objective, Relation, Solution, SolveError, SolveStats,
+    SparseSimplex, VarId,
 };
 use llamp_schedgen::GraphView;
 
@@ -123,8 +122,8 @@ impl MultiPrediction {
 }
 
 /// The multi-parameter LP form of an execution graph under a binding,
-/// paired with the [`SolverBackend`] that answers its queries (same
-/// warm-start protocol as [`crate::lp_build::GraphLp`]).
+/// paired with the [`SparseSimplex`] that answers its queries (same
+/// crash and warm-start protocol as [`crate::lp_build::GraphLp`]).
 #[derive(Debug)]
 pub struct GraphMultiLp {
     model: LpModel,
@@ -132,42 +131,21 @@ pub struct GraphMultiLp {
     g: VarId,
     o: VarId,
     t: VarId,
-    backend: Box<dyn SolverBackend>,
+    solver: SparseSimplex,
     /// Crash plan — instantiated into a crash [`Basis`] at each query's
-    /// `(L, G, o)` point (see `GraphLp::build_with_backend`).
+    /// `(L, G, o)` point (see `GraphLp::build`).
     plan: CrashPlan,
     /// Which in-edge selection rule instantiates the plan.
     crash_kind: CrashKind,
 }
 
 impl GraphMultiLp {
-    /// Build with the default solver backend ([`Parametric`], whose
-    /// zero-pivot shortcut now covers joint `(L, G, o)` bound moves).
-    /// Accepts any [`GraphView`] — raw or reduced graphs alike.
-    pub fn build<V: GraphView + ?Sized>(graph: &V, binding: &Binding) -> Self {
-        Self::build_with_backend(graph, binding, Box::new(Parametric::default()))
-    }
-
-    /// Build with a named solver backend (`"dense"`, `"sparse"`,
-    /// `"parametric"` or `"dual"`; see [`by_name`]).
-    pub fn build_named<V: GraphView + ?Sized>(
-        graph: &V,
-        binding: &Binding,
-        backend: &str,
-    ) -> Option<Self> {
-        Some(Self::build_with_backend(graph, binding, by_name(backend)?))
-    }
-
     /// Algorithm 1 with symbolic `(L, G, o)`: one decision variable per
     /// parameter, each edge constraint carrying its full coefficient
     /// vector from [`Binding::bind_multi`]. The crash plan is recorded
     /// exactly as in the single-parameter build, with all three
     /// multipliers kept per row.
-    pub fn build_with_backend<V: GraphView + ?Sized>(
-        graph: &V,
-        binding: &Binding,
-        backend: Box<dyn SolverBackend>,
-    ) -> Self {
+    pub fn build<V: GraphView + ?Sized>(graph: &V, binding: &Binding) -> Self {
         use llamp_lp::solution::VarStatus;
 
         let span = llamp_obs::span("lp.lower");
@@ -302,7 +280,7 @@ impl GraphMultiLp {
             g,
             o,
             t,
-            backend,
+            solver: SparseSimplex::default(),
             plan,
             crash_kind: CrashKind::default(),
         };
@@ -319,15 +297,10 @@ impl GraphMultiLp {
         &self.model
     }
 
-    /// Name of the active solver backend.
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-
     /// Drop accumulated warm state: the next query seeds the crash basis
     /// at its own `(L, G, o)` point, as a freshly built instance would.
     pub fn reset_backend(&mut self) {
-        self.backend.reset();
+        self.solver.reset();
     }
 
     /// The crash-basis selection rule in effect (see [`CrashKind`]).
@@ -339,7 +312,7 @@ impl GraphMultiLp {
     /// next query cold-starts under the new rule.
     pub fn set_crash_kind(&mut self, kind: CrashKind) {
         self.crash_kind = kind;
-        self.backend.reset();
+        self.solver.reset();
     }
 
     /// Instantiate the crash basis at a parameter point (exposed for
@@ -363,11 +336,11 @@ impl GraphMultiLp {
         flipped.unwrap_or_else(|| self.crash_basis(at))
     }
 
-    /// Seed `crash` if the backend holds no warm state, and hand it back
+    /// Seed `crash` if the solver holds no warm state, and hand it back
     /// for the robust-resolve fallback ladder.
     fn arm(&mut self, crash: Basis) -> Basis {
-        if self.backend.warm_basis().is_none() {
-            self.backend.seed(&crash);
+        if self.solver.warm_basis().is_none() {
+            self.solver.seed(&crash);
         }
         crash
     }
@@ -375,18 +348,18 @@ impl GraphMultiLp {
     /// Cumulative solver-effort counters across every query this instance
     /// has answered.
     pub fn solver_stats(&self) -> SolveStats {
-        self.backend.stats()
+        self.solver.stats()
     }
 
-    /// The basis the backend would warm-start its next query from.
+    /// The basis the solver would warm-start its next query from.
     pub fn warm_basis(&self) -> Option<Basis> {
-        self.backend.warm_basis().cloned()
+        self.solver.warm_basis().cloned()
     }
 
-    /// Re-seed the backend's warm state from an explicit basis (e.g. run
+    /// Re-seed the solver's warm state from an explicit basis (e.g. run
     /// every grid point from one anchor optimum).
     pub fn seed_backend(&mut self, basis: &Basis) {
-        self.backend.seed(basis);
+        self.solver.seed(basis);
     }
 
     /// The decision variable of one sweep parameter.
@@ -413,7 +386,7 @@ impl GraphMultiLp {
         self.model.set_sense(Objective::Minimize);
         self.model.set_objective(&[(self.t, 1.0)]);
         let crash = self.arm(self.crash_basis(at));
-        let sol = resolve_robust(self.backend.as_mut(), &self.model, Some(&crash))?;
+        let sol = resolve_robust(&mut self.solver, &self.model, Some(&crash))?;
         Ok(MultiPrediction {
             runtime: sol.objective(),
             lambda_l: sol.reduced_cost(self.l),
@@ -435,7 +408,7 @@ impl GraphMultiLp {
         self.model.set_sense(Objective::Minimize);
         self.model.set_objective(&[(self.t, 1.0)]);
         let crash = self.arm(self.crash_basis(at));
-        resolve_robust(self.backend.as_mut(), &self.model, Some(&crash))
+        resolve_robust(&mut self.solver, &self.model, Some(&crash))
     }
 
     /// Tolerance along one parameter (§II-D2 generalised): maximise that
@@ -459,7 +432,7 @@ impl GraphMultiLp {
         self.model.set_sense(Objective::Maximize);
         self.model.set_objective(&[(var, 1.0)]);
         let crash = self.arm(self.tolerance_crash_basis(p, at, max_runtime));
-        let out = match resolve_robust(self.backend.as_mut(), &self.model, Some(&crash)) {
+        let out = match resolve_robust(&mut self.solver, &self.model, Some(&crash)) {
             Ok(sol) => Ok(sol.value(var)),
             Err(SolveError::Unbounded) => Ok(f64::INFINITY),
             Err(e) => Err(e),
@@ -629,22 +602,24 @@ mod tests {
 
     #[test]
     fn all_backends_agree_bitwise() {
+        // The solver's answer and a dense-inverse solve of the same
+        // model are bit-identical.
         let g = running_example(0.1);
         let (binding, base) = didactic();
-        let mut reference: Option<MultiPrediction> = None;
-        for name in llamp_lp::backend::BACKEND_NAMES {
-            let mut lp = GraphMultiLp::build_named(&g, &binding, name).unwrap();
-            let p = lp
-                .predict(base.with(SweepParam::L, 500.0).with(SweepParam::G, 5.0))
-                .unwrap();
-            if let Some(r) = &reference {
-                assert_eq!(p.runtime.to_bits(), r.runtime.to_bits(), "{name}");
-                assert_eq!(p.lambda_l.to_bits(), r.lambda_l.to_bits(), "{name}");
-                assert_eq!(p.lambda_g.to_bits(), r.lambda_g.to_bits(), "{name}");
-                assert_eq!(p.lambda_o.to_bits(), r.lambda_o.to_bits(), "{name}");
-            } else {
-                reference = Some(p);
-            }
+        let mut lp = GraphMultiLp::build(&g, &binding);
+        let p = lp
+            .predict(base.with(SweepParam::L, 500.0).with(SweepParam::G, 5.0))
+            .unwrap();
+        let opts = llamp_lp::simplex::SimplexOptions::default();
+        let dense = llamp_lp::simplex::solve_dense(lp.model(), &opts, None).unwrap();
+        assert_eq!(p.runtime.to_bits(), dense.objective().to_bits());
+        for (param, lambda) in [
+            (SweepParam::L, p.lambda_l),
+            (SweepParam::G, p.lambda_g),
+            (SweepParam::O, p.lambda_o),
+        ] {
+            let d = dense.reduced_cost(lp.param_var(param));
+            assert_eq!(lambda.to_bits(), d.to_bits(), "{param:?}");
         }
     }
 }

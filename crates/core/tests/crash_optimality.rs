@@ -90,7 +90,7 @@ fn graph_of(ranks: usize, phases: &[Phase]) -> ExecGraph {
 /// The assertion battery for one (graph, latency) pair.
 fn assert_crash_is_optimal(g: &ExecGraph, binding: &Binding, l: f64) {
     let reduced = g.contracted();
-    let mut lp = GraphLp::build_named(&reduced, binding, "sparse").unwrap();
+    let mut lp = GraphLp::build(&reduced, binding);
     let p = lp.predict(l).expect("crash-seeded solve succeeds");
     let stats = lp.solver_stats();
     assert_eq!(
@@ -112,7 +112,7 @@ fn assert_crash_is_optimal(g: &ExecGraph, binding: &Binding, l: f64) {
     );
     // The historic topological heuristic reaches the same optimum (in
     // however many pivots it needs).
-    let mut topo = GraphLp::build_named(&reduced, binding, "sparse").unwrap();
+    let mut topo = GraphLp::build(&reduced, binding);
     topo.set_crash_kind(CrashKind::Topological);
     let q = topo.predict(l).expect("heuristic-seeded solve succeeds");
     assert!(
@@ -160,7 +160,7 @@ fn assert_flipped_crash_is_optimal(g: &ExecGraph, params: &LogGPSParams, floor: 
         };
 
         // A fresh instance seeds the flipped crash: no pivots at all.
-        let mut lp = GraphLp::build_named(&reduced, &binding, "sparse").unwrap();
+        let mut lp = GraphLp::build(&reduced, &binding);
         let tol = lp
             .tolerance(floor, cap)
             .expect("flipped-crash solve succeeds");
@@ -170,7 +170,7 @@ fn assert_flipped_crash_is_optimal(g: &ExecGraph, params: &LogGPSParams, floor: 
         assert_close(tol, envelope, &format!("{what}: LP vs envelope"));
 
         // The anchor-seeded path reaches the same answer.
-        let mut anchored = GraphLp::build_named(&reduced, &binding, "sparse").unwrap();
+        let mut anchored = GraphLp::build(&reduced, &binding);
         anchored.predict(floor).unwrap();
         let anchor = anchored.warm_basis().unwrap();
         anchored.seed_backend(&anchor);
@@ -178,7 +178,7 @@ fn assert_flipped_crash_is_optimal(g: &ExecGraph, params: &LogGPSParams, floor: 
         assert_close(tol, a, &format!("{what}: flipped vs anchor-seeded"));
 
         // The multi-parameter LP along L, G and o pinned at base.
-        let mut multi = GraphMultiLp::build_named(&reduced, &binding, "sparse").unwrap();
+        let mut multi = GraphMultiLp::build(&reduced, &binding);
         let m = multi.tolerance(SweepParam::L, at, cap).unwrap();
         let st = multi.solver_stats();
         assert_eq!(
@@ -187,7 +187,7 @@ fn assert_flipped_crash_is_optimal(g: &ExecGraph, params: &LogGPSParams, floor: 
         );
         assert_eq!(st.pivots, 0, "{what}: multi flipped crash not optimal");
         assert_close(m, envelope, &format!("{what}: multi LP vs envelope"));
-        let mut anchored = GraphMultiLp::build_named(&reduced, &binding, "sparse").unwrap();
+        let mut anchored = GraphMultiLp::build(&reduced, &binding);
         anchored.predict(at).unwrap();
         let anchor = anchored.warm_basis().unwrap();
         anchored.seed_backend(&anchor);

@@ -1,9 +1,9 @@
 //! Warm-vs-cold smoke assertion, run explicitly in CI (`cargo test ...
 //! -- --ignored`): a warm-started 64-point latency sweep must not be
-//! slower than the same sweep with the backend reset (cold) before every
-//! point. Warm sweeps re-use the previous optimal basis — usually a
-//! pivot-free re-extraction — so anything short of a clear win means the
-//! warm-start path regressed.
+//! slower than the same sweep with the solver reset (crash-started)
+//! before every point. Warm sweeps re-use the previous optimal basis —
+//! usually a pivot-free certification — so anything short of a clear win
+//! means the warm-start path regressed.
 
 use llamp_core::{Analyzer, GraphLp};
 use llamp_model::LogGPSParams;
@@ -52,12 +52,12 @@ fn warm_sweep_not_slower_than_cold() {
     let deltas: Vec<f64> = (0..64).map(|i| us(1.0) * i as f64).collect();
 
     // One throwaway pass to warm caches/allocator before timing.
-    let mut lp = analyzer.lp_named("sparse").unwrap();
+    let mut lp = analyzer.lp();
     sweep_time(&mut lp, &deltas, false);
 
-    let mut cold_lp = analyzer.lp_named("sparse").unwrap();
+    let mut cold_lp = analyzer.lp();
     let cold = sweep_time(&mut cold_lp, &deltas, true);
-    let mut warm_lp = analyzer.lp_named("parametric").unwrap();
+    let mut warm_lp = analyzer.lp();
     let warm = sweep_time(&mut warm_lp, &deltas, false);
 
     println!(

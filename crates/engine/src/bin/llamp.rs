@@ -22,7 +22,7 @@
 use llamp_engine::value::{parse_json, Value};
 use llamp_engine::{
     metrics_value, parse_backend, render_metrics, run_campaign_checked, CampaignSpec,
-    ExecutorConfig, ResultCache, SweepStart,
+    ExecutorConfig, ResultCache,
 };
 use llamp_workloads::App;
 use std::path::PathBuf;
@@ -123,13 +123,8 @@ RUN OPTIONS:
   --out FILE        write results JSON here (default: stdout)
   --csv FILE        also write a flat CSV of all sweep points
   --backends LIST   override the spec's backends (comma-separated:
-                    parametric | eval | lp | lp-dense | lp-sparse |
-                    lp-parametric)
-  --sweep-start P   override the spec's sweep_start policy: anchor (every
-                    grid point re-solves from the anchor basis) | crash
-                    (every point solves fresh from the longest-path crash
-                    basis; points shard across idle threads) | auto
-                    (crash above 10k LP rows, anchor below; default)
+                    parametric | eval | lp-sparse; lp, simplex, lp-dense,
+                    lp-parametric and lp-dual are aliases of lp-sparse)
   --timeout-ms N    per-scenario timeout (default: unlimited)
   --retries N       re-run a panicked/timed-out scenario up to N times
                     before recording the failure (default: 1)
@@ -144,7 +139,6 @@ RUN OPTIONS:
                     (render later with 'llamp report ... --metrics F')
   --trace-out F     also write a Chrome trace-event file (load in
                     chrome://tracing or Perfetto)
-  --solver-stats    deprecated alias for --metrics
   --quiet           suppress the run summary
 
 GEN OPTIONS:
@@ -162,8 +156,6 @@ GEN OPTIONS:
 REPORT OPTIONS:
   --csv FILE        also write the tolerance table as CSV
   --metrics FILE    render a metrics sidecar written by 'run --metrics-out'
-  --solver-stats    deprecated: print counters embedded by old 'run
-                    --solver-stats' results files
 
 EXIT CODES:
   0 success   1 internal error   2 usage error   3 input parse error
@@ -222,14 +214,13 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             "out",
             "csv",
             "backends",
-            "sweep-start",
             "timeout-ms",
             "fault-budget",
             "retries",
             "metrics-out",
             "trace-out",
         ],
-        &["quiet", "metrics", "solver-stats", "no-reduce"],
+        &["quiet", "metrics", "no-reduce"],
     )
     .map_err(CliError::Usage)?;
     let [spec_path] = args.positional.as_slice() else {
@@ -237,15 +228,10 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             "'run' takes exactly one spec file\n\n{USAGE}"
         )));
     };
-    if args.has("solver-stats") {
-        eprintln!("llamp: note: --solver-stats is a deprecated alias for --metrics");
-    }
     // Any telemetry sink turns the recorder on; without one, every obs
     // entry point stays a single relaxed atomic load.
-    let telemetry = args.has("metrics")
-        || args.has("solver-stats")
-        || args.get("metrics-out").is_some()
-        || args.get("trace-out").is_some();
+    let telemetry =
+        args.has("metrics") || args.get("metrics-out").is_some() || args.get("trace-out").is_some();
     if telemetry {
         llamp_obs::enable();
     }
@@ -267,10 +253,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     }
     if args.has("no-reduce") {
         spec.reduce = false;
-    }
-    if let Some(policy) = args.get("sweep-start") {
-        spec.sweep_start = SweepStart::parse(policy.trim())
-            .map_err(|e| CliError::Usage(format!("--sweep-start: {e}")))?;
     }
 
     let threads = match args.get("threads") {
@@ -482,8 +464,7 @@ fn cmd_gen(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_report(args: &[String]) -> Result<(), CliError> {
-    let args =
-        Args::parse(args, &["csv", "metrics"], &["solver-stats"]).map_err(CliError::Usage)?;
+    let args = Args::parse(args, &["csv", "metrics"], &[]).map_err(CliError::Usage)?;
     let [path] = args.positional.as_slice() else {
         return Err(CliError::Usage(format!(
             "'report' takes exactly one results file\n\n{USAGE}"
@@ -580,28 +561,6 @@ fn cmd_report(args: &[String]) -> Result<(), CliError> {
             parse_json(&text).map_err(|e| CliError::Parse(format!("{metrics_path}: {e}")))?;
         println!("\n# metrics ({metrics_path})\n");
         print!("{}", render_metrics(&metrics_doc));
-    }
-    if args.has("solver-stats") {
-        eprintln!(
-            "llamp: note: --solver-stats is deprecated; use 'run --metrics-out F' \
-             and 'report --metrics F'"
-        );
-        let print_block = |key: &str, title: &str| match doc.get(key) {
-            Some(Value::Table(pairs)) => {
-                println!("\n# {title} (as embedded by an old 'run --solver-stats')");
-                for (k, v) in pairs {
-                    let rendered = match v {
-                        Value::Int(i) => i.to_string(),
-                        Value::Float(f) => format!("{f:.3e}"),
-                        other => other.to_json(),
-                    };
-                    println!("{k:<24} {rendered}");
-                }
-            }
-            _ => println!("\n(no {title} embedded; use 'run --metrics-out' + 'report --metrics')"),
-        };
-        print_block("solver_stats", "lp solver totals");
-        print_block("reduction_stats", "graph reduction totals");
     }
     Ok(())
 }

@@ -108,9 +108,6 @@ pub struct RunSummary {
     pub cache_misses: u64,
     /// Worker threads used.
     pub threads: usize,
-    /// The sweep-start policy in force (spec field or CLI override),
-    /// rendered as its spec-level name (`anchor` / `crash` / `auto`).
-    pub sweep_start: String,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
     /// Per-scenario provenance, aligned with the result's scenario order.
@@ -154,16 +151,6 @@ impl RunSummary {
             self.threads,
             self.elapsed.as_secs_f64()
         )
-    }
-
-    /// Render the aggregate LP solver counters (empty string when no LP
-    /// ran this campaign).
-    pub fn render_solver_stats(&self) -> String {
-        if self.solver.iterations == 0 {
-            String::new()
-        } else {
-            format!("lp solver totals\n{}", self.solver.render())
-        }
     }
 
     /// Render the aggregate graph-reduction counters (empty string when
@@ -270,7 +257,6 @@ pub fn run_campaign(
         cache_hits: cache.stats().hits() - hits_before,
         cache_misses: cache.stats().misses() - misses_before,
         threads,
-        sweep_start: canonical_spec.sweep_start.name().to_string(),
         elapsed: started.elapsed(),
         provenance,
         solver,

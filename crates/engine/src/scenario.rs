@@ -34,11 +34,8 @@ pub struct Scenario {
     /// of the base canonical key: reduced and unreduced answers agree
     /// only to numerical tolerance and must never share cache entries.
     pub reduce: bool,
-    /// Where LP sweep-point solves start (campaign-wide policy). Pure
-    /// performance: anchor- and crash-started points land on the same
-    /// final basis, and canonical extraction makes the answer a function
-    /// of (model, final basis) alone — so this is *excluded* from
-    /// canonical keys, fingerprints and result files.
+    /// Where LP queries start (always [`SweepStart::Crash`]). Excluded
+    /// from canonical keys, fingerprints and result files.
     pub sweep_start: SweepStart,
 }
 
@@ -301,11 +298,10 @@ impl Scenario {
     }
 
     /// [`Scenario::compute`] with an explicit intra-scenario thread
-    /// budget. When the sweep-start policy resolves to crash-per-point
-    /// (every point independent by construction), `point_threads > 1`
-    /// shards the grid across the work-stealing executor with one solver
-    /// clone per chunk; results merge in input order, so the answer is
-    /// byte-identical at any thread count.
+    /// budget. LP points are crash-started and so independent by
+    /// construction: `point_threads > 1` shards the grid across the
+    /// work-stealing executor with one solver per chunk; results merge in
+    /// input order, so the answer is byte-identical at any thread count.
     pub fn compute_with(
         &self,
         analyzer: &Analyzer,
@@ -354,118 +350,67 @@ impl Scenario {
                 let zones = need_zones.then(|| eval_zones(analyzer, base, hi));
                 Ok((points, zones, SolveStats::default()))
             }
-            Backend::Lp(solver) => {
-                let mut lp = analyzer
-                    .lp_named(solver.solver_name())
-                    .expect("LpSolver names map onto llamp-lp backends");
-                // One cold anchor solve at the base latency; under the
-                // anchor policy every grid point warm-starts from this
-                // basis (zones start cold, see below).
-                // Seeding from a shared anchor — rather than chaining each
-                // warm solve off the previous one — keeps every answer a
-                // pure function of (scenario, query): chained trajectories
-                // would depend on *which* points were cache misses, and
-                // could settle on different degenerate-equivalent bases
-                // per factorisation. This is what makes LP results
-                // byte-identical across lp-* backends and cache states.
+            Backend::Lp(_) => {
+                // The anchor solve at the base latency gives the zones'
+                // baseline runtime.
+                let mut lp = analyzer.lp();
                 let anchor = lp
                     .predict(base)
                     .map_err(|e| format!("LP baseline solve failed: {e:?}"))?;
-                let anchor_basis = lp.warm_basis();
-                let seed = |lp: &mut GraphLp| {
-                    if let Some(b) = &anchor_basis {
-                        lp.seed_backend(b);
-                    }
-                };
-                // Resolve the sweep-start policy against this scenario's
-                // model size: crash-per-point above the row threshold
-                // (where far points re-seeded from the anchor replay
-                // thousands of pivots), anchor-seeding below. Either way
-                // each point lands on the same final basis, so the bytes
-                // never depend on the policy.
-                let start = self.sweep_start.resolve(lp.model().num_constraints());
-                let mut extra_stats = SolveStats::default();
-                let mut points = Vec::with_capacity(need_deltas.len());
-                if start == SweepStart::Crash {
-                    let threads = point_threads.clamp(1, need_deltas.len().max(1));
-                    if threads <= 1 {
-                        for &d in need_deltas {
-                            // Reset: `predict` arms the per-point
-                            // longest-path crash when no warm state is
-                            // retained.
-                            lp.reset_backend();
-                            let p = llamp_obs::time("lp.point_ns", || lp.predict(base + d))
-                                .map_err(|e| format!("LP solve failed at ∆L={d}: {e:?}"))?;
-                            points.push(PointResult {
-                                delta_l_ns: d,
-                                runtime_ns: p.runtime,
-                                lambda: p.lambda,
-                                rho: p.rho(base + d),
-                            });
-                        }
-                    } else {
-                        // Crash-started points are independent: shard the
-                        // grid into contiguous chunks, one solver clone
-                        // per chunk, and merge in input order — the
-                        // byte-identity contract holds at any thread
-                        // count because each point's answer is a pure
-                        // function of (scenario, point).
-                        let chunk_len = need_deltas.len().div_ceil(threads);
-                        let chunks: Vec<Vec<f64>> =
-                            need_deltas.chunks(chunk_len).map(<[f64]>::to_vec).collect();
-                        let cfg = ExecutorConfig {
-                            threads,
-                            job_timeout: None,
-                            max_retries: 0,
-                            retry_backoff_ms: 0,
-                        };
-                        let solver_name = solver.solver_name();
-                        let outs = run_jobs(&cfg, chunks, |chunk: &Vec<f64>| {
-                            let mut lp = analyzer
-                                .lp_named(solver_name)
-                                .expect("LpSolver names map onto llamp-lp backends");
-                            let mut pts = Vec::with_capacity(chunk.len());
-                            for &d in chunk {
-                                lp.reset_backend();
-                                let p = llamp_obs::time("lp.point_ns", || lp.predict(base + d))
-                                    .map_err(|e| format!("LP solve failed at ∆L={d}: {e:?}"))?;
-                                pts.push(PointResult {
-                                    delta_l_ns: d,
-                                    runtime_ns: p.runtime,
-                                    lambda: p.lambda,
-                                    rho: p.rho(base + d),
-                                });
-                            }
-                            Ok::<_, String>((pts, lp.solver_stats()))
-                        });
-                        for status in outs {
-                            let (pts, st) = status
-                                .ok()
-                                .ok_or_else(|| "sweep point worker failed".to_string())??;
-                            points.extend(pts);
-                            extra_stats.merge(&st);
-                        }
-                    }
-                } else {
-                    for &d in need_deltas {
-                        seed(&mut lp);
+                // Every point starts from its own longest-path crash
+                // (`predict` arms it on a reset solver), so each answer
+                // is a pure function of (scenario, point): independent of
+                // which points were cache misses, and of the thread count.
+                let solve_points = |lp: &mut GraphLp, deltas: &[f64]| {
+                    let mut pts = Vec::with_capacity(deltas.len());
+                    for &d in deltas {
+                        lp.reset_backend();
                         let p = llamp_obs::time("lp.point_ns", || lp.predict(base + d))
                             .map_err(|e| format!("LP solve failed at ∆L={d}: {e:?}"))?;
-                        points.push(PointResult {
+                        pts.push(PointResult {
                             delta_l_ns: d,
                             runtime_ns: p.runtime,
                             lambda: p.lambda,
                             rho: p.rho(base + d),
                         });
                     }
-                }
+                    Ok::<_, String>(pts)
+                };
+                let mut extra_stats = SolveStats::default();
+                let threads = point_threads.clamp(1, need_deltas.len().max(1));
+                let points = if threads <= 1 {
+                    solve_points(&mut lp, need_deltas)?
+                } else {
+                    // Shard the grid into contiguous chunks, one solver
+                    // per chunk, and merge in input order.
+                    let chunk_len = need_deltas.len().div_ceil(threads);
+                    let chunks: Vec<&[f64]> = need_deltas.chunks(chunk_len).collect();
+                    let cfg = ExecutorConfig {
+                        threads,
+                        job_timeout: None,
+                        max_retries: 0,
+                        retry_backoff_ms: 0,
+                    };
+                    let outs = run_jobs(&cfg, chunks, |chunk: &&[f64]| {
+                        let mut lp = analyzer.lp();
+                        let pts = solve_points(&mut lp, chunk)?;
+                        Ok::<_, String>((pts, lp.solver_stats()))
+                    });
+                    let mut points = Vec::with_capacity(need_deltas.len());
+                    for status in outs {
+                        let (pts, st) = status
+                            .ok()
+                            .ok_or_else(|| "sweep point worker failed".to_string())??;
+                        points.extend(pts);
+                        extra_stats.merge(&st);
+                    }
+                    points
+                };
                 let zones = if need_zones {
-                    // Zones start cold under every sweep-start policy:
-                    // `tolerance` then seeds the flipped crash, the
-                    // longest-path basis at the answer L* itself, which
-                    // the simplex certifies without pivoting. Each zone is
-                    // a pure function of (scenario, cap), so policy
-                    // cannot change its bytes.
+                    // Zones start cold: `tolerance` then seeds the flipped
+                    // crash, the longest-path basis at the answer L*
+                    // itself, which the simplex certifies without
+                    // pivoting.
                     let t0 = anchor.runtime;
                     let mut zone = |pct: f64| -> Result<f64, String> {
                         let cap = t0 * (1.0 + pct / 100.0);
@@ -499,15 +444,12 @@ impl Scenario {
     /// campaign runner passes only cache misses); returned values follow
     /// its order.
     ///
-    /// The LP path keeps the anchor-seeding discipline of
-    /// [`Scenario::compute`]: one cold solve at the scenario's base
-    /// `(L, G, o)` point, then every grid point re-seeds from that anchor
-    /// basis and re-solves with moved bounds — consecutive points of a
-    /// 1-D cross-section differ in a single lower bound, which the
-    /// parametric backend's directional shortcut answers with zero
-    /// pivots. Zones start cold from the flipped crash along `L`. Every
-    /// answer stays a pure function of (scenario, point), so results are
-    /// byte-identical across `lp-*` backends and cache states.
+    /// The LP path follows [`Scenario::compute`]: one anchor solve at the
+    /// scenario's base `(L, G, o)` point for the zones' baseline, every
+    /// grid point from its own longest-path crash, and zones from the
+    /// flipped crash along `L`. Every answer is a pure function of
+    /// (scenario, point), so results are byte-identical across cache
+    /// states.
     pub fn compute_axes(
         &self,
         analyzer: &Analyzer,
@@ -568,36 +510,15 @@ impl Scenario {
                 });
                 Ok((points, zones, SolveStats::default()))
             }
-            Backend::Lp(solver) => {
-                let mut lp = analyzer
-                    .multi_lp_named(solver.solver_name())
-                    .expect("LpSolver names map onto llamp-lp backends");
-                // One cold anchor at the base point; every query re-seeds
-                // from its basis (see the `compute` comment for why
-                // anchor-seeding, not chaining, is what keeps results
-                // byte-identical across backends and cache states).
+            Backend::Lp(_) => {
+                let mut lp = analyzer.multi_lp();
                 let anchor = lp
                     .predict(base)
                     .map_err(|e| format!("LP baseline solve failed: {e:?}"))?;
-                let anchor_basis = lp.warm_basis();
-                let seed = |lp: &mut llamp_core::GraphMultiLp| {
-                    if let Some(b) = &anchor_basis {
-                        lp.seed_backend(b);
-                    }
-                };
-                // Same sweep-start policy as `compute`: a crash-resolved
-                // policy arms the per-point longest-path crash (a reset
-                // backend lets `predict` seed it lazily), instead of
-                // re-seeding every point from the anchor.
-                let start = self.sweep_start.resolve(lp.model().num_constraints());
                 let mut points = Vec::with_capacity(need_points.len());
                 for deltas in need_points {
                     let p = at(deltas);
-                    if start == SweepStart::Crash {
-                        lp.reset_backend();
-                    } else {
-                        seed(&mut lp);
-                    }
+                    lp.reset_backend();
                     let pred = llamp_obs::time("lp.point_ns", || lp.predict(p))
                         .map_err(|e| format!("LP solve failed at {deltas:?}: {e:?}"))?;
                     points.push(value_of(

@@ -96,32 +96,20 @@ pub struct ParamsSpec {
     pub s_bytes: Option<u64>,
 }
 
-/// Which simplex variant answers an `lp-*` backend (see
-/// `llamp_lp::backend`).
+/// The simplex answering an `lp-*` backend: the sparse simplex, the
+/// only one. A one-variant enum rather than nothing because the
+/// perfbench probe matches on `Backend::Lp(solver)` and builds its LPs
+/// through [`LpSolver::solver_name`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LpSolver {
-    /// Dense basis inverse — the cross-validation reference.
-    Dense,
-    /// Sparse LU + eta file — the at-scale simplex (what plain `"lp"`
-    /// means).
+    /// Sparse LU + eta-file simplex, crash-started per query.
     Sparse,
-    /// Sparse simplex + warm starts + the Algorithm-2 basis-stability
-    /// shortcut — best for latency sweeps.
-    Parametric,
-    /// Sparse simplex + dual-simplex re-solves for the bound moves a
-    /// sweep performs.
-    Dual,
 }
 
 impl LpSolver {
-    /// The `llamp_lp::backend::by_name` name.
+    /// The name `llamp_core::Analyzer::lp_named` accepts.
     pub fn solver_name(&self) -> &'static str {
-        match self {
-            LpSolver::Dense => "dense",
-            LpSolver::Sparse => "sparse",
-            LpSolver::Parametric => "parametric",
-            LpSolver::Dual => "dual",
-        }
+        llamp_core::analyzer::SOLVER_NAME
     }
 }
 
@@ -131,110 +119,59 @@ impl LpSolver {
 pub enum Backend {
     /// Exact `T(L)` envelope in one pass (`ParametricProfile`).
     Parametric,
-    /// The paper's Algorithm 1 LP, solved per grid point by the chosen
-    /// simplex variant. All four variants produce byte-identical results;
-    /// they differ only in speed.
+    /// The paper's Algorithm 1 LP, solved per grid point by the sparse
+    /// simplex from the point's longest-path crash basis.
     Lp(LpSolver),
     /// Direct critical-path evaluation per grid point.
     Eval,
 }
 
 impl Backend {
-    /// Spec-file name (also the cache-key component, so results are keyed
-    /// per solver variant).
+    /// Canonical spec-file name (also the cache-key component).
     pub fn name(&self) -> &'static str {
         match self {
             Backend::Parametric => "parametric",
-            Backend::Lp(LpSolver::Dense) => "lp-dense",
             Backend::Lp(LpSolver::Sparse) => "lp-sparse",
-            Backend::Lp(LpSolver::Parametric) => "lp-parametric",
-            Backend::Lp(LpSolver::Dual) => "lp-dual",
             Backend::Eval => "eval",
         }
     }
 }
 
 /// Parse a backend name as used in spec files and `llamp run --backends`:
-/// `parametric`, `eval`, `lp-dense`, `lp-sparse`, `lp-parametric`,
-/// `lp-dual`, or the aliases `lp` / `simplex` (→ `lp-sparse`).
+/// `parametric`, `eval` (alias `evaluate`), or `lp-sparse` with its
+/// aliases `lp` and `simplex`. `lp-dense`, `lp-parametric` and `lp-dual`
+/// named solver variants that answered byte-identically to `lp-sparse`;
+/// they parse as aliases of it so older specs still run.
 pub fn parse_backend(name: &str) -> Result<Backend, SpecError> {
     match name.to_ascii_lowercase().as_str() {
         "parametric" => Ok(Backend::Parametric),
-        "lp" | "simplex" | "lp-sparse" => Ok(Backend::Lp(LpSolver::Sparse)),
-        "lp-dense" => Ok(Backend::Lp(LpSolver::Dense)),
-        "lp-parametric" => Ok(Backend::Lp(LpSolver::Parametric)),
-        "lp-dual" => Ok(Backend::Lp(LpSolver::Dual)),
         "eval" | "evaluate" => Ok(Backend::Eval),
+        "lp-sparse" | "lp" | "simplex" | "lp-dense" | "lp-parametric" | "lp-dual" => {
+            Ok(Backend::Lp(LpSolver::Sparse))
+        }
         _ => Err(err(format!(
-            "unknown backend '{name}' (expected parametric | eval | lp | lp-dense | lp-sparse | lp-parametric | lp-dual)"
+            "unknown backend '{name}' (expected parametric | eval | lp-sparse; \
+             lp, simplex, lp-dense, lp-parametric and lp-dual are aliases of lp-sparse)"
         ))),
     }
 }
 
-/// Where each LP sweep point's solve starts from.
-///
-/// Inside a basis-stability window the anchor-seeded warm solve and the
-/// per-point longest-path crash land on the *same* basis, and canonical
-/// extraction makes every answer a pure function of (model, final
-/// basis) — so the policy changes solver effort, never campaign bytes.
-/// It is therefore excluded from canonical keys and cache identities.
+/// Where each LP query starts: always its own longest-path crash
+/// basis, which the simplex certifies without pivoting. A one-variant
+/// enum rather than nothing because the perfbench probe sets
+/// `sweep_start` and calls [`SweepStart::resolve`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepStart {
-    /// Seed every grid point from the scenario's anchor basis (the
-    /// historic discipline; cheapest for small models, where far points
-    /// replay few pivots).
-    Anchor,
-    /// Start every grid point from its own longest-path crash basis
-    /// (zero pivots at any size; the only viable start at 10⁵+ rows,
-    /// where anchor-seeded far points replay thousands of pivots).
-    Crash,
-    /// `Crash` above [`SWEEP_CRASH_ROW_THRESHOLD`] reduced LP rows,
-    /// `Anchor` below (the default).
+    /// Start every query from its own longest-path crash basis.
     #[default]
-    Auto,
+    Crash,
 }
 
-/// Reduced-row count above which [`SweepStart::Auto`] crash-starts sweep
-/// points. All seed workloads sit far below (81–360 rows); the 10⁵+-row
-/// scaled shapes sit far above — the crossover where anchor re-seeding
-/// starts replaying thousands of pivots per far point is around 10⁴ rows
-/// (see docs/SCALING.md).
-pub const SWEEP_CRASH_ROW_THRESHOLD: usize = 10_000;
-
 impl SweepStart {
-    /// Spec-file / CLI name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SweepStart::Anchor => "anchor",
-            SweepStart::Crash => "crash",
-            SweepStart::Auto => "auto",
-        }
-    }
-
-    /// Parse a spec-file / CLI name.
-    pub fn parse(name: &str) -> Result<Self, SpecError> {
-        match name.to_ascii_lowercase().as_str() {
-            "anchor" => Ok(SweepStart::Anchor),
-            "crash" => Ok(SweepStart::Crash),
-            "auto" => Ok(SweepStart::Auto),
-            _ => Err(err(format!(
-                "unknown sweep_start '{name}' (expected anchor | crash | auto)"
-            ))),
-        }
-    }
-
-    /// Resolve `Auto` against a concrete model size.
-    pub fn resolve(&self, lp_rows: usize) -> SweepStart {
-        match self {
-            SweepStart::Auto => {
-                if lp_rows >= SWEEP_CRASH_ROW_THRESHOLD {
-                    SweepStart::Crash
-                } else {
-                    SweepStart::Anchor
-                }
-            }
-            fixed => *fixed,
-        }
+    /// The start used for a model of `lp_rows` rows: the crash, at
+    /// every size.
+    pub fn resolve(&self, _lp_rows: usize) -> SweepStart {
+        *self
     }
 }
 
@@ -313,9 +250,8 @@ pub struct CampaignSpec {
     /// identity: reduced and unreduced answers agree only to numerical
     /// tolerance, so they must never substitute for each other.
     pub reduce: bool,
-    /// Where LP sweep-point solves start (default [`SweepStart::Auto`]).
-    /// A pure performance policy: byte-identical results either way, so
-    /// it is *not* part of canonical keys or cache identities.
+    /// Where LP queries start (always [`SweepStart::Crash`]; not a spec
+    /// key).
     pub sweep_start: SweepStart,
 }
 
@@ -453,14 +389,6 @@ impl CampaignSpec {
                 .ok_or_else(|| err("'reduce' must be a boolean"))?,
         };
 
-        let sweep_start = match value.get("sweep_start") {
-            None => SweepStart::Auto,
-            Some(v) => SweepStart::parse(
-                v.as_str()
-                    .ok_or_else(|| err("'sweep_start' must be a string"))?,
-            )?,
-        };
-
         let mut spec = Self {
             name,
             workloads,
@@ -470,7 +398,7 @@ impl CampaignSpec {
             grid,
             axes,
             reduce,
-            sweep_start,
+            sweep_start: SweepStart::Crash,
         };
         spec.validate()?;
         spec.canonicalize();
@@ -655,16 +583,6 @@ impl CampaignSpec {
                 ));
             }
         }
-        // A non-default sweep-start policy round-trips; the default stays
-        // implicit so existing encodings are byte-identical.
-        if self.sweep_start != SweepStart::Auto {
-            if let Value::Table(pairs) = &mut doc {
-                pairs.push((
-                    "sweep_start".into(),
-                    Value::Str(self.sweep_start.name().into()),
-                ));
-            }
-        }
         doc
     }
 }
@@ -846,7 +764,6 @@ pub fn axes_canonical(axes: &[AxisSpec], search_hi_ns: f64) -> String {
 pub const SPEC_FIELDS: &[&str] = &[
     "name",
     "reduce",
-    "sweep_start",
     "backends",
     "search_hi_ns",
     "workloads",
@@ -1223,7 +1140,6 @@ app = "milc"
             vec![
                 "name",
                 "reduce",
-                "sweep_start",
                 "backends",
                 "search_hi_ns",
                 "workloads",

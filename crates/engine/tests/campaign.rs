@@ -1,8 +1,11 @@
 //! Integration tests for the campaign subsystem: spec round-trips, cache
-//! semantics across runs, thread-count determinism, and the cross-backend
-//! byte-identity contract of the LP solver variants.
+//! semantics across runs, thread-count determinism, the LP backend's
+//! aliases and crash-started points, and the `llamp` CLI's flag checks.
 
-use llamp_engine::{run_campaign, CampaignSpec, ExecutorConfig, Provenance, ResultCache};
+use llamp_engine::{
+    parse_backend, run_campaign, Backend, CampaignSpec, ExecutorConfig, LpSolver, Provenance,
+    ResultCache,
+};
 
 const SPEC: &str = r#"
 name = "itest"
@@ -158,18 +161,19 @@ fn thread_count_does_not_change_results() {
 
 #[test]
 fn lp_backends_are_byte_identical() {
-    // The four LP solver variants (dense inverse, sparse LU, sparse +
-    // parametric warm-start shortcut, sparse + dual-simplex re-solves)
-    // must produce *byte-identical* numbers: same canonical extraction
-    // from the same final bases. Only the backend label may differ
-    // between their serialized scenarios.
-    let spec = CampaignSpec::parse(
-        r#"
+    // `lp-dense`, `lp-parametric` and `lp-dual` are aliases of
+    // `lp-sparse`: a spec listing all four answers one LP scenario per
+    // workload, and its results file is byte-identical to the spec that
+    // names only `lp-sparse`.
+    let parse = |backends: &str| {
+        CampaignSpec::parse(
+            &format!(
+                r#"
 name = "lp-identity"
-backends = ["lp-dense", "lp-sparse", "lp-parametric", "lp-dual"]
+backends = [{backends}]
 
 [grid]
-window = { lo = 0.0, hi = 80000.0, points = 5 }
+window = {{ lo = 0.0, hi = 80000.0, points = 5 }}
 search_hi_ns = 1000000.0
 
 [[workloads]]
@@ -181,48 +185,105 @@ iters = 1
 app = "milc"
 ranks = 4
 iters = 1
-"#,
-        "ident.toml",
+"#
+            ),
+            "ident.toml",
+        )
+        .unwrap()
+    };
+    let all = parse(r#""lp-dense", "lp-sparse", "lp-parametric", "lp-dual""#);
+    let one = parse(r#""lp-sparse""#);
+    assert_eq!(all.backends, one.backends);
+    assert_eq!(all.fingerprint(), one.fingerprint());
+    let (r_all, _) = run_campaign(&all, &config(2), &ResultCache::new());
+    let (r_one, _) = run_campaign(&one, &config(2), &ResultCache::new());
+    assert_eq!(r_all.scenarios.len(), 2, "2 workloads x 1 LP backend");
+    assert!(r_all.scenarios.iter().all(|s| s.outcome.is_ok()));
+    assert_eq!(r_all.to_json(), r_one.to_json());
+}
+
+#[test]
+fn every_lp_alias_parses_to_lp_sparse() {
+    for alias in [
+        "lp",
+        "simplex",
+        "lp-sparse",
+        "lp-dense",
+        "lp-parametric",
+        "lp-dual",
+        "LP-Dense",
+    ] {
+        let backend = parse_backend(alias).unwrap();
+        assert_eq!(backend, Backend::Lp(LpSolver::Sparse), "{alias}");
+        assert_eq!(backend.name(), "lp-sparse", "{alias}");
+    }
+    assert!(parse_backend("lp-gurobi").is_err());
+    // Two aliases in one spec canonicalise to a single scenario.
+    let spec = CampaignSpec::parse(
+        "name = \"a\"\nbackends = [\"lp-parametric\", \"lp-dual\"]\n[grid]\ndeltas_ns = [0.0]\n[[workloads]]\napp = \"milc\"\n",
+        "a.toml",
     )
     .unwrap();
-    let (result, _) = run_campaign(&spec, &config(2), &ResultCache::new());
-    assert_eq!(result.scenarios.len(), 8, "2 workloads x 4 LP backends");
-    // Group by workload, compare the serialized outcome (zones + sweep)
-    // across the four backends byte for byte.
-    for app in ["cloverleaf", "milc"] {
-        let bodies: Vec<(String, String)> = result
-            .scenarios
-            .iter()
-            .filter(|s| s.scenario.workload.canonical().starts_with(app))
-            .map(|s| {
-                let outcome = s.outcome.as_ref().expect("scenario solved");
-                let body = s
-                    .scenario
-                    .to_value()
-                    .to_json()
-                    .replace(s.scenario.backend.name(), "<backend>");
-                let zones = format!("{:?}", outcome.zones);
-                let sweep = format!("{:?}", outcome.sweep);
-                (body, format!("{zones}|{sweep}"))
-            })
-            .collect();
-        assert_eq!(bodies.len(), 4, "{app}");
-        for pair in bodies.windows(2) {
-            assert_eq!(pair[0].0, pair[1].0, "{app}: scenario identity differs");
-            assert_eq!(
-                pair[0].1, pair[1].1,
-                "{app}: results differ across LP backends"
-            );
-        }
-    }
+    assert_eq!(spec.backends, vec![Backend::Lp(LpSolver::Sparse)]);
+    assert_eq!(llamp_engine::expand(&spec).len(), 1);
+}
+
+#[test]
+fn example_campaign_lp_points_are_crash_started() {
+    // Every LP query starts from its own longest-path crash basis, which
+    // the simplex certifies without a single pivot: the example
+    // campaign's LP answers (anchors, grid points, zone flips) take no
+    // pivots and no phase-1 iterations.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/campaign.toml");
+    let mut spec = CampaignSpec::parse(&std::fs::read_to_string(path).unwrap(), path).unwrap();
+    spec.backends = vec![parse_backend("lp-sparse").unwrap()];
+    spec.canonicalize();
+    let (result, summary) = run_campaign(&spec, &config(2), &ResultCache::new());
+    assert!(result.scenarios.iter().all(|s| s.outcome.is_ok()));
+    assert!(summary.solver.iterations > 0, "{:?}", summary.solver);
+    assert_eq!(summary.solver.pivots, 0, "{:?}", summary.solver);
+    assert_eq!(summary.solver.phase1_iterations, 0, "{:?}", summary.solver);
+}
+
+#[test]
+fn crash_point_parallelism_is_thread_deterministic() {
+    // One scenario + many threads is the shape that lends idle workers to
+    // the sweep loop (point_threads > 1): the sharded run must reproduce
+    // the single-threaded bytes exactly, and a warm-cache rerun must
+    // assemble the same file again.
+    let one = r#"
+name = "crash-shard"
+backends = ["lp-sparse"]
+
+[grid]
+window = { lo = 0.0, hi = 100000.0, points = 12 }
+search_hi_ns = 1000000.0
+
+[[workloads]]
+app = "milc"
+ranks = 4
+iters = 1
+"#;
+    let spec = CampaignSpec::parse(one, "shard.toml").unwrap();
+    let (r1, _) = run_campaign(&spec, &config(1), &ResultCache::new());
+    let cache = ResultCache::new();
+    let (r4, _) = run_campaign(&spec, &config(4), &cache);
+    assert_eq!(
+        r1.to_json(),
+        r4.to_json(),
+        "sharded crash-start sweep must be byte-identical to serial"
+    );
+    let (r4b, s4b) = run_campaign(&spec, &config(4), &cache);
+    assert_eq!(s4b.cache_misses, 0);
+    assert_eq!(r1.to_json(), r4b.to_json());
 }
 
 #[test]
 fn lp_points_are_cache_state_independent() {
-    // Each LP grid point warm-starts from the scenario's base-latency
-    // anchor, never from a neighbouring point — so computing a *subset*
-    // of the grid (because the rest was cached) must produce the same
-    // bytes as computing the whole grid fresh.
+    // Each LP grid point starts from its own crash basis, never from a
+    // neighbouring point — so computing a *subset* of the grid (because
+    // the rest was cached) must produce the same bytes as computing the
+    // whole grid fresh.
     let parse = |deltas: &str| {
         CampaignSpec::parse(
             &format!(
@@ -243,8 +304,7 @@ iters = 1
         .unwrap()
     };
     // Warm a cache with a 2-point grid, then run the 3-point superset
-    // against it: only the middle point computes, warm-started from the
-    // anchor.
+    // against it: only the middle point computes.
     let cache = ResultCache::new();
     run_campaign(&parse("0.0, 40000.0"), &config(1), &cache);
     let (with_cache, s1) = run_campaign(&parse("0.0, 20000.0, 40000.0"), &config(1), &cache);
@@ -260,6 +320,42 @@ iters = 1
         fresh.to_json(),
         "cached-subset and fresh runs must be byte-identical"
     );
+}
+
+#[test]
+fn cli_rejects_removed_flags_with_usage_exit_code() {
+    // `--solver-stats` (run and report) and `--sweep-start` (run) are
+    // gone: like any unknown flag they are usage errors, exit code 2.
+    let dir = std::env::temp_dir().join(format!("llamp-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec_path = dir.join("spec.toml");
+    std::fs::write(
+        &spec_path,
+        "name = \"cli\"\nbackends = [\"lp-sparse\"]\n[grid]\ndeltas_ns = [0.0, 20000.0]\nsearch_hi_ns = 500000.0\n[[workloads]]\napp = \"milc\"\nranks = 4\niters = 1\n",
+    )
+    .unwrap();
+    let out_path = dir.join("out.json");
+    let llamp = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_llamp"))
+            .args(args)
+            .output()
+            .unwrap()
+    };
+    let spec_arg = spec_path.to_str().unwrap();
+    let out_arg = out_path.to_str().unwrap();
+    let ok = llamp(&["run", spec_arg, "--out", out_arg, "--quiet"]);
+    assert_eq!(ok.status.code(), Some(0), "{ok:?}");
+    for args in [
+        vec!["run", spec_arg, "--solver-stats"],
+        vec!["run", spec_arg, "--sweep-start", "crash"],
+        vec!["report", out_arg, "--solver-stats"],
+    ] {
+        let bad = llamp(&args);
+        assert_eq!(bad.status.code(), Some(2), "{args:?} must exit 2");
+        let stderr = String::from_utf8_lossy(&bad.stderr);
+        assert!(stderr.contains("unknown option"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -358,22 +454,12 @@ fn two_axis_campaign_end_to_end() {
 
 #[test]
 fn two_axis_lp_backends_are_byte_identical_across_cache_states() {
-    // lp-sparse and lp-parametric must agree byte-for-byte on the 2-D
-    // grid, and a run that computes only the set difference against a
-    // warm cache must reproduce the fresh bytes exactly.
+    // lp-sparse and its alias lp-parametric answer one scenario on the
+    // 2-D grid, and a run that computes only the set difference against
+    // a warm cache must reproduce the fresh bytes exactly.
     let spec = axes_spec();
     let (fresh, _) = run_campaign(&spec, &config(2), &ResultCache::new());
-    let mut bodies: Vec<String> = fresh
-        .scenarios
-        .iter()
-        .map(|s| {
-            let o = s.outcome.as_ref().unwrap();
-            format!("{:?}|{:?}", o.zones, o.points)
-        })
-        .collect();
-    assert_eq!(bodies.len(), 2, "one scenario per LP backend");
-    bodies.dedup();
-    assert_eq!(bodies.len(), 1, "lp backends differ on the 2-D grid");
+    assert_eq!(fresh.scenarios.len(), 1, "aliases are one LP backend");
 
     // Warm a cache with a 1-D L slice (G axis pinned to its base), then
     // run the full 2-D grid: the shared (∆L, 0) points hit, the rest
@@ -403,17 +489,16 @@ iters = 1
 
 #[test]
 fn axes_zone_flips_are_pivot_free_and_cross_sections_warm() {
-    // One cold anchor per scenario, every grid cross-section re-solved
-    // from its basis, every zone flip certified from its own crash.
-    // Zone flips take no pivots at all, so a single-point campaign (the
-    // anchor, its own point and the 3 flips) pivots nowhere. The 5 extra
-    // points of the 2-D grid, re-seeded from the anchor, must together
+    // The anchor, every grid point and every zone flip start from their
+    // own crash basis. Zone flips take no pivots at all, so a
+    // single-point campaign (the anchor, its own point and the 3 flips)
+    // pivots nowhere. The 5 extra points of the 2-D grid must together
     // cost less than one cold solve of the same LP from the historic
-    // topological crash — only possible if they start from the anchor.
+    // topological crash — only possible if their crash starts hold.
     let one_point = CampaignSpec::parse(
         r#"
 name = "anchor-only"
-backends = ["lp-parametric"]
+backends = ["lp-sparse"]
 search_hi_ns = 1000000.0
 [[axes]]
 param = "L"
@@ -430,7 +515,7 @@ iters = 1
     )
     .unwrap();
     let mut grid = axes_spec();
-    grid.backends = vec![llamp_engine::parse_backend("lp-parametric").unwrap()];
+    grid.backends = vec![llamp_engine::parse_backend("lp-sparse").unwrap()];
     grid.canonicalize();
     let (_, s_anchor) = run_campaign(&one_point, &config(1), &ResultCache::new());
     let (_, s_grid) = run_campaign(&grid, &config(1), &ResultCache::new());
@@ -443,7 +528,7 @@ iters = 1
 
     let sc = &llamp_engine::expand(&one_point)[0];
     let analyzer = sc.build_analyzer().unwrap();
-    let mut cold = analyzer.multi_lp_named("parametric").unwrap();
+    let mut cold = analyzer.multi_lp();
     cold.set_crash_kind(llamp_core::CrashKind::Topological);
     let cold_iters = cold.predict(analyzer.base_point()).unwrap().iterations;
     let extra_points = s_grid.solver.iterations - s_anchor.solver.iterations;
@@ -508,15 +593,15 @@ iters = 1
     .unwrap();
     let cache = ResultCache::new();
     let (r1, s1) = run_campaign(&spec, &config(1), &cache);
+    // Crash-started solves pivot nowhere (no FTRANs), but every one
+    // prices the whole model to certify its basis.
     assert!(
-        s1.solver.iterations > 0 && s1.solver.ftran_calls > 0,
+        s1.solver.iterations > 0 && s1.solver.pricing_full_scans > 0,
         "computed LP run must report solver effort: {:?}",
         s1.solver
     );
-    assert!(!s1.render_solver_stats().is_empty());
     let (r2, s2) = run_campaign(&spec, &config(1), &cache);
     assert_eq!(s2.solver.iterations, 0, "cached rerun solves nothing");
-    assert!(s2.render_solver_stats().is_empty());
     assert_eq!(r1.to_json(), r2.to_json(), "stats never leak into results");
 }
 

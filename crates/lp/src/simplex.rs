@@ -37,9 +37,10 @@
 //!   pass 2 picks the largest-magnitude pivot among rows blocking within
 //!   that step, breaking near-ties toward the lowest basis position.
 //! * **Factorisation.** The basis is held behind the internal
-//!   `BasisFactor` trait: `DenseInv` (dense inverse + dense eta updates,
-//!   the original path, kept for cross-validation) or `SparseLu` (Markowitz-ordered
-//!   sparse LU + product-form eta file, the at-scale path). Refactoring
+//!   `BasisFactor` trait: `SparseLu` (Markowitz-ordered sparse LU +
+//!   product-form eta file, the solver's path) or `DenseInv` (dense
+//!   inverse + dense eta updates, the cross-validation reference and
+//!   the last fallback rung). Refactoring
 //!   is periodic *and* triggered early when the eta file outgrows the
 //!   fresh factorisation. All hot-path linear algebra runs through
 //!   caller-owned [`IndexedVec`] workspaces: the FTRAN / BTRAN / pricing
@@ -55,7 +56,8 @@
 //!   are therefore a pure function of `(model, final basis)`: a cold dense
 //!   solve, a cold sparse solve and a warm re-solve that land on the same
 //!   basis report bit-identical numbers — the property the engine's
-//!   cross-backend byte-identity contract rests on.
+//!   byte-identity contract (across thread counts and cache states)
+//!   rests on.
 
 // Dense linear-algebra kernels index several same-length buffers per loop;
 // iterator zips would obscure the math without changing codegen.
@@ -136,17 +138,6 @@ pub struct SimplexOptions {
     /// disables (the default — a singular refactorisation falls back to
     /// the eta-updated factor, which is usually fine once).
     pub singular_limit: u32,
-    /// Anti-degeneracy cost perturbation (à la HiGHS cost shifting),
-    /// applied at phase-2 entry and removed *exactly* before the final
-    /// optimality confirmation: each column's internal cost is shifted
-    /// away from zero by `perturb · (1 + |c_j|) · ξ_j` with a
-    /// deterministic per-column `ξ_j ∈ [0.5, 1.5)`, the perturbed problem
-    /// is solved, the true costs are restored and a clean-up phase 2
-    /// re-certifies optimality under them. The reported solution is
-    /// therefore exact. `0.0` (the default) disables — the longest-path
-    /// crash already starts dual feasible, so perturbation is a recovery
-    /// lever for tie-heavy cold starts, not a hot-path default.
-    pub perturb: f64,
     /// Reuse a previous solve's LU factorisation when the incoming warm
     /// basis and constraint matrix are bit-identical to the one it was
     /// built for, and hand the final factorisation to the extracted
@@ -171,7 +162,6 @@ impl Default for SimplexOptions {
             drift_limit: 1e-6,
             bland_streak_limit: 0,
             singular_limit: 0,
-            perturb: 0.0,
             lu_reuse: true,
         }
     }
@@ -209,110 +199,45 @@ impl RangingData {
             VarStatus::Basic | VarStatus::FreeZero => (f64::NEG_INFINITY, self.x[j]),
             VarStatus::AtUpper => (f64::NEG_INFINITY, self.ub[j]),
             VarStatus::AtLower => {
-                let (dn, up) = self.lb_step_range(&[(j, 1.0, VarStatus::AtLower)]);
+                let (dn, up) = self.at_lower_step_range(j);
                 (self.x[j] + dn, self.x[j] + up)
             }
         }
     }
 
-    /// Feasible step window `[t_lo, t_hi]` (containing 0) for a joint
-    /// lower-bound move along an **arbitrary direction**: every listed
-    /// extended column `j` shifts its lower bound by `t·dir_j`
-    /// simultaneously. This is the ranging primitive behind parametric
-    /// re-solves that move *several* bounds at once (multi-parameter
-    /// sweeps stepping `L`, `G` and `o` together) — the classic
-    /// one-bound `SALBLow`/`SALBUp` query is the `dir = e_j` special
-    /// case.
-    ///
-    /// Dual feasibility is unaffected by bound moves, so the window is
-    /// where primal feasibility survives: nonbasic-at-lower columns ride
-    /// their bound (`x_j += t·dir_j`, basic variables move by
-    /// `−t·B⁻¹(Σ dir_j a_j)`), while basic / at-upper / free columns
-    /// merely require the moved bound to stay on the correct side of
-    /// their (unmoved) value.
-    pub(crate) fn lb_step_range(&self, moves: &[(usize, f64, VarStatus)]) -> (f64, f64) {
+    /// Feasible step window `[t_lo, t_hi]` (containing 0) for moving the
+    /// lower bound of the nonbasic-at-lower column `j` by `t`: `x_j`
+    /// rides its bound and the basic variables move by `−t·B⁻¹a_j`, so
+    /// the window ends where the first of them (or `x_j`'s own upper
+    /// bound) is reached.
+    fn at_lower_step_range(&self, j: usize) -> (f64, f64) {
         let mut dn = f64::NEG_INFINITY;
         let mut up = INF;
-        // Aggregate basic-variable response w = Σ_j dir_j · B⁻¹ a_j over
-        // the columns that actually ride their lower bound.
-        let mut w: Option<Vec<f64>> = None;
-        for &(j, dir, status) in moves {
-            if dir == 0.0 {
+        if self.ub[j].is_finite() {
+            up = self.ub[j] - self.x[j];
+        }
+        for (i, &wi) in self.ftran(j).iter().enumerate() {
+            if wi.abs() <= self.pivot_tol {
                 continue;
             }
-            match status {
-                VarStatus::Basic | VarStatus::FreeZero => {
-                    // x_j stays put; the moved bound must not cross it:
-                    // lb_j + t·dir ≤ x_j.
-                    let slack = self.x[j] - self.lb[j];
-                    if dir > 0.0 {
-                        up = up.min(slack / dir);
-                    } else {
-                        dn = dn.max(slack / dir);
-                    }
+            let b = self.basis[i];
+            let xb = self.x[b];
+            let (lbi, ubi) = (self.lb[b], self.ub[b]);
+            if wi > 0.0 {
+                // x_b decreases as t grows.
+                if lbi.is_finite() {
+                    up = up.min((xb - lbi) / wi);
                 }
-                VarStatus::AtUpper => {
-                    let slack = self.ub[j] - self.lb[j];
-                    if dir > 0.0 {
-                        up = up.min(slack / dir);
-                    } else {
-                        dn = dn.max(slack / dir);
-                    }
+                if ubi.is_finite() {
+                    dn = dn.max((xb - ubi) / wi);
                 }
-                VarStatus::AtLower => {
-                    let col = self.ftran(j);
-                    match &mut w {
-                        None => {
-                            let mut v = col;
-                            if dir != 1.0 {
-                                for x in v.iter_mut() {
-                                    *x *= dir;
-                                }
-                            }
-                            w = Some(v);
-                        }
-                        Some(acc) => {
-                            for (a, c) in acc.iter_mut().zip(&col) {
-                                *a += dir * c;
-                            }
-                        }
-                    }
-                    // The moved variable's own upper bound.
-                    if self.ub[j].is_finite() {
-                        let slack = self.ub[j] - self.x[j];
-                        if dir > 0.0 {
-                            up = up.min(slack / dir);
-                        } else {
-                            dn = dn.max(slack / dir);
-                        }
-                    }
+            } else {
+                // x_b increases as t grows.
+                if ubi.is_finite() {
+                    up = up.min((xb - ubi) / wi);
                 }
-            }
-        }
-        if let Some(w) = w {
-            for (i, &wi) in w.iter().enumerate() {
-                if wi.abs() <= self.pivot_tol {
-                    continue;
-                }
-                let b = self.basis[i];
-                let xb = self.x[b];
-                let (lbi, ubi) = (self.lb[b], self.ub[b]);
-                if wi > 0.0 {
-                    // x_b decreases as t grows.
-                    if lbi.is_finite() {
-                        up = up.min((xb - lbi) / wi);
-                    }
-                    if ubi.is_finite() {
-                        dn = dn.max((xb - ubi) / wi);
-                    }
-                } else {
-                    // x_b increases as t grows.
-                    if ubi.is_finite() {
-                        up = up.min((xb - ubi) / wi);
-                    }
-                    if lbi.is_finite() {
-                        dn = dn.max((xb - lbi) / wi);
-                    }
+                if lbi.is_finite() {
+                    dn = dn.max((xb - lbi) / wi);
                 }
             }
         }
@@ -330,7 +255,7 @@ impl RangingData {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum NbStatus {
+enum NbStatus {
     Basic,
     Lower,
     Upper,
@@ -348,13 +273,13 @@ impl NbStatus {
     }
 }
 
-pub(crate) struct Core<F: BasisFactor> {
-    pub(crate) m: usize,
-    pub(crate) n_struct: usize,
-    pub(crate) n_total: usize,
-    pub(crate) col_start: Vec<usize>,
-    pub(crate) col_rows: Vec<u32>,
-    pub(crate) col_vals: Vec<f64>,
+struct Core<F: BasisFactor> {
+    m: usize,
+    n_struct: usize,
+    n_total: usize,
+    col_start: Vec<usize>,
+    col_rows: Vec<u32>,
+    col_vals: Vec<f64>,
     /// Row-wise mirror of the structural columns (CSR), for scattering
     /// pivot rows: `α_j = Σ_i ρ_i A_ij` costs only the nonzeros of the
     /// rows in `supp(ρ)`. Logical columns are implicit (−1 on the
@@ -362,30 +287,30 @@ pub(crate) struct Core<F: BasisFactor> {
     row_start: Vec<usize>,
     row_cols: Vec<u32>,
     row_vals: Vec<f64>,
-    pub(crate) lb: Vec<f64>,
-    pub(crate) ub: Vec<f64>,
+    lb: Vec<f64>,
+    ub: Vec<f64>,
     /// Internal costs (always a minimisation).
-    pub(crate) cost: Vec<f64>,
-    pub(crate) basis: Vec<usize>,
-    pub(crate) in_basis: Vec<i32>,
-    pub(crate) status: Vec<NbStatus>,
-    pub(crate) x: Vec<f64>,
-    pub(crate) factor: F,
-    pub(crate) iterations: u64,
-    pub(crate) pivots_since_refactor: u64,
+    cost: Vec<f64>,
+    basis: Vec<usize>,
+    in_basis: Vec<i32>,
+    status: Vec<NbStatus>,
+    x: Vec<f64>,
+    factor: F,
+    iterations: u64,
+    pivots_since_refactor: u64,
     /// Whether the requested warm basis was actually installed (a
     /// dimension mismatch or singular basis silently falls back to the
     /// cold start).
-    pub(crate) warm_installed: bool,
+    warm_installed: bool,
     /// Whether `factor` is a pristine factorisation of the current basis
     /// (no eta updates absorbed since the last refactorisation/adoption).
     /// Only such factors may be handed to the extracted solution in place
     /// of the canonical re-factorisation.
-    pub(crate) factor_fresh: bool,
+    factor_fresh: bool,
     // --- incremental pricing state ---
     /// Reduced costs of all columns under the current phase's objective,
     /// maintained incrementally and resynchronised at refactorisations.
-    pub(crate) d: Vec<f64>,
+    d: Vec<f64>,
     /// Devex reference weights.
     devex: Vec<f64>,
     /// Candidate list (ascending column order).
@@ -406,16 +331,16 @@ pub(crate) struct Core<F: BasisFactor> {
     /// resync); the iteration loop aborts on it at the next check.
     distressed: Option<Distress>,
     /// Wall-clock cutoff from `SimplexOptions::time_limit_ms`.
-    pub(crate) deadline: Option<std::time::Instant>,
+    deadline: Option<std::time::Instant>,
     // --- solver-owned workspaces (no per-iteration allocation) ---
-    pub(crate) w: IndexedVec,
-    pub(crate) rho: IndexedVec,
-    pub(crate) alpha: IndexedVec,
-    pub(crate) delta: IndexedVec,
+    w: IndexedVec,
+    rho: IndexedVec,
+    alpha: IndexedVec,
+    delta: IndexedVec,
     cb_buf: Vec<f64>,
     y_buf: Vec<f64>,
-    pub(crate) stats: SolveStats,
-    pub(crate) opts: SimplexOptions,
+    stats: SolveStats,
+    opts: SimplexOptions,
 }
 
 /// Solve `model` with the default (sparse LU) factorisation, returning the
@@ -469,7 +394,7 @@ pub fn solve_sparse_reusing(
 /// out-of-band: the span neither observes nor perturbs the numerical
 /// path, and with recording off this is a single relaxed atomic load
 /// (no allocation — certified by `tests/alloc_count.rs`).
-pub(crate) fn traced_solve(
+fn traced_solve(
     factor: &str,
     model: &LpModel,
     warm: Option<&Basis>,
@@ -498,37 +423,9 @@ pub(crate) fn traced_solve(
     out
 }
 
-/// Re-extract a solution from a purportedly-still-optimal basis (e.g.
-/// Algorithm 2's basis-stability argument after a bound move). The basis
-/// is *verified*, not trusted: primal feasibility is checked at the same
-/// scaled tolerance the solve path uses to trigger phase 1, and a full
-/// pricing pass confirms no improving column exists. On success the
-/// result is bit-identical to what a warm `solve_sparse` from the same
-/// basis would report (which would run zero pivots); any verification
-/// failure returns `Err` so the caller can fall back to a real solve.
-pub fn reextract(
-    model: &LpModel,
-    opts: &SimplexOptions,
-    basis: &Basis,
-) -> Result<Solution, SolveError> {
-    reextract_reusing(model, opts, basis, None)
-}
-
-/// [`reextract`] with the optional LU-adoption shortcut of
-/// [`solve_sparse_reusing`].
-pub fn reextract_reusing(
-    model: &LpModel,
-    opts: &SimplexOptions,
-    basis: &Basis,
-    reuse: Option<&RangingData>,
-) -> Result<Solution, SolveError> {
-    let core: Core<SparseLu> = Core::build_reusing(model, opts.clone(), Some(basis), reuse);
-    if !core.warm_installed || !core.is_primal_feasible(1.0) || core.has_improving_column() {
-        return Err(SolveError::Infeasible);
-    }
-    Ok(core.extract(model))
-}
-
+/// Build a [`Core`] (installing `warm` when it fits), drive it through
+/// the primal algorithm (phase 1 if the starting basis is infeasible,
+/// then phase 2) and extract the canonical solution.
 fn solve_generic<F: BasisFactor>(
     model: &LpModel,
     opts: &SimplexOptions,
@@ -537,18 +434,6 @@ fn solve_generic<F: BasisFactor>(
 ) -> Result<Solution, SolveError> {
     let mut core: Core<F> = Core::build_reusing(model, opts.clone(), warm, reuse);
     core.arm_deadline();
-    run_primal(core, model)
-}
-
-/// Drive a built [`Core`] through the primal algorithm (phase 1 if the
-/// starting basis is infeasible, then phase 2) and extract the canonical
-/// solution. Shared by the cold/warm primal entry points and the dual
-/// simplex's fallback path, so both report bit-identical results from the
-/// same starting basis.
-pub(crate) fn run_primal<F: BasisFactor>(
-    mut core: Core<F>,
-    model: &LpModel,
-) -> Result<Solution, SolveError> {
     let max_iters = core.iteration_cap();
 
     // Phase 1: restore primal feasibility if the starting basis violates
@@ -569,28 +454,11 @@ pub(crate) fn run_primal<F: BasisFactor>(
         }
     }
 
-    // Phase 2: optimise the true objective — under temporarily perturbed
-    // costs first when anti-degeneracy shifting is enabled.
-    let saved_costs = (core.opts.perturb > 0.0).then(|| {
-        let saved = core.cost.clone();
-        core.apply_cost_perturbation();
-        saved
-    });
+    // Phase 2: optimise the true objective.
     match core.iterate(false, max_iters) {
         PhaseOutcome::Done => {}
         PhaseOutcome::Unbounded => return Err(SolveError::Unbounded),
         PhaseOutcome::Abort(e) => return Err(e),
-    }
-    if let Some(costs) = saved_costs {
-        // Exact removal: restore the true costs and re-certify (phase-2
-        // entry resynchronises reduced costs from the restored vector, so
-        // nothing of the perturbation survives into the reported optimum).
-        core.cost = costs;
-        match core.iterate(false, max_iters) {
-            PhaseOutcome::Done => {}
-            PhaseOutcome::Unbounded => return Err(SolveError::Unbounded),
-            PhaseOutcome::Abort(e) => return Err(e),
-        }
     }
     Ok(core.extract(model))
 }
@@ -602,11 +470,11 @@ pub(crate) fn run_primal<F: BasisFactor>(
 /// factorisation backend but not the other would break cross-backend
 /// determinism.
 #[inline]
-pub(crate) fn viol_tol(bound: f64, feas: f64) -> f64 {
+fn viol_tol(bound: f64, feas: f64) -> f64 {
     feas * (1.0 + bound.abs())
 }
 
-pub(crate) enum PhaseOutcome {
+enum PhaseOutcome {
     Done,
     Unbounded,
     /// A budget or tripwire aborted the phase with this typed error
@@ -617,7 +485,7 @@ pub(crate) enum PhaseOutcome {
 impl<F: BasisFactor> Core<F> {
     /// Effective iteration budget (`max_iterations`, or the size-scaled
     /// default when 0).
-    pub(crate) fn iteration_cap(&self) -> u64 {
+    fn iteration_cap(&self) -> u64 {
         if self.opts.max_iterations == 0 {
             20_000 + 50 * (self.m as u64 + self.n_total as u64)
         } else {
@@ -627,32 +495,16 @@ impl<F: BasisFactor> Core<F> {
 
     /// Start the wall clock for `SimplexOptions::time_limit_ms` (no-op
     /// when the budget is disabled).
-    pub(crate) fn arm_deadline(&mut self) {
+    fn arm_deadline(&mut self) {
         self.deadline = (self.opts.time_limit_ms > 0).then(|| {
             std::time::Instant::now() + std::time::Duration::from_millis(self.opts.time_limit_ms)
         });
     }
 
-    /// Shift every cost away from zero by a deterministic per-column
-    /// amount (`SimplexOptions::perturb` scale), breaking the dual
-    /// degeneracy of massively tied models. The caller saves the original
-    /// vector and restores it before the clean-up phase — removal is
-    /// exact by construction.
-    pub(crate) fn apply_cost_perturbation(&mut self) {
-        let scale = self.opts.perturb;
-        for (j, c) in self.cost.iter_mut().enumerate() {
-            // Weyl-style low-discrepancy ξ_j ∈ [0.5, 1.5): deterministic,
-            // index-dependent, identical across factorisation backends.
-            let xi = 0.5 + (j as u64).wrapping_mul(0x9E3779B97F4A7C15) as f64 / 2f64.powi(64);
-            let shift = scale * (1.0 + c.abs()) * xi;
-            *c += if *c >= 0.0 { shift } else { -shift };
-        }
-    }
-
     /// Build a solver core for `model`, optionally installing a warm
     /// basis, and optionally adopting a retained [`RangingData`]'s LU at
     /// installation (see [`solve_sparse_reusing`]).
-    pub(crate) fn build_reusing(
+    fn build_reusing(
         model: &LpModel,
         opts: SimplexOptions,
         warm: Option<&Basis>,
@@ -913,7 +765,7 @@ impl<F: BasisFactor> Core<F> {
     }
 
     /// Refactorise the basis, resetting the eta counter on success.
-    pub(crate) fn refactorize(&mut self) -> bool {
+    fn refactorize(&mut self) -> bool {
         let ok = self.factor.refactor(
             ColsView {
                 start: &self.col_start,
@@ -938,7 +790,7 @@ impl<F: BasisFactor> Core<F> {
 
     /// Recompute all basic variable values from the nonbasic assignment:
     /// `x_B = B⁻¹ (0 − A_N x_N)`.
-    pub(crate) fn recompute_basics(&mut self) {
+    fn recompute_basics(&mut self) {
         let m = self.m;
         let mut r = vec![0.0; m];
         for j in 0..self.n_total {
@@ -958,7 +810,7 @@ impl<F: BasisFactor> Core<F> {
 
     /// Whether every basic variable sits within its (magnitude-scaled,
     /// `mult`-relaxed) bounds.
-    pub(crate) fn is_primal_feasible(&self, mult: f64) -> bool {
+    fn is_primal_feasible(&self, mult: f64) -> bool {
         let feas = self.opts.feas_tol * mult;
         self.basis.iter().all(|&b| {
             let v = self.x[b];
@@ -1023,7 +875,7 @@ impl<F: BasisFactor> Core<F> {
     /// the incremental values and the fresh ones is folded into
     /// [`SolveStats::max_resync_drift`] — the observable bound on
     /// incremental-pricing error.
-    pub(crate) fn resync_d(&mut self, phase1: bool, record_drift: bool) {
+    fn resync_d(&mut self, phase1: bool, record_drift: bool) {
         for i in 0..self.m {
             self.cb_buf[i] = if phase1 {
                 self.cb1[i]
@@ -1175,7 +1027,7 @@ impl<F: BasisFactor> Core<F> {
     /// Scatter the pivot row `α = Aᵀρ` (column space) from a row-space
     /// BTRAN result, using the CSR mirror plus the implicit −1 logical
     /// diagonal.
-    pub(crate) fn scatter_alpha(&mut self) {
+    fn scatter_alpha(&mut self) {
         self.alpha.reset(self.n_total);
         for &iu in self.rho.indices() {
             let i = iu as usize;
@@ -1207,36 +1059,6 @@ impl<F: BasisFactor> Core<F> {
                 self.d[j] -= self.alpha.get(j);
             }
         }
-    }
-
-    /// Optimality probe used by [`reextract`]: does a phase-2 improving
-    /// column exist for the current basis? Computed from scratch (this is
-    /// a cold, once-per-query path).
-    fn has_improving_column(&self) -> bool {
-        let opt = self.opts.opt_tol;
-        let mut cb = vec![0.0; self.m];
-        for (i, &b) in self.basis.iter().enumerate() {
-            cb[i] = self.cost[b];
-        }
-        let y = self.factor.btran_dense(&cb);
-        for j in 0..self.n_total {
-            let st = self.status[j];
-            if st == NbStatus::Basic {
-                continue;
-            }
-            let d = self.cost[j]
-                - Self::dot_col(&self.col_start, &self.col_rows, &self.col_vals, j, &y);
-            let improving = match st {
-                NbStatus::Lower => d < -opt,
-                NbStatus::Upper => d > opt,
-                NbStatus::FreeZero => d.abs() > opt,
-                NbStatus::Basic => unreachable!(),
-            };
-            if improving {
-                return true;
-            }
-        }
-        false
     }
 
     /// The bound (and whether it is the upper one) at which basic position
@@ -1277,7 +1099,7 @@ impl<F: BasisFactor> Core<F> {
 
     /// Run simplex iterations for one phase. `phase1` selects infeasibility
     /// costs instead of the model objective.
-    pub(crate) fn iterate(&mut self, phase1: bool, max_iters: u64) -> PhaseOutcome {
+    fn iterate(&mut self, phase1: bool, max_iters: u64) -> PhaseOutcome {
         let feas = self.opts.feas_tol;
         let mut degenerate_streak = 0u32;
         self.enter_phase(phase1);
@@ -1641,7 +1463,7 @@ impl<F: BasisFactor> Core<F> {
     /// column, nonbasic values are snapped exactly onto their bounds, and
     /// every reported quantity is recomputed from a fresh sparse LU —
     /// identical regardless of which factorisation ran the pivots.
-    pub(crate) fn extract(mut self, model: &LpModel) -> Solution {
+    fn extract(mut self, model: &LpModel) -> Solution {
         let sign = match model.sense {
             Objective::Minimize => 1.0,
             Objective::Maximize => -1.0,
@@ -2020,28 +1842,6 @@ mod tests {
         assert_eq!(warm.basis(), cold.basis());
         // Inside the stability window the warm start needs no pivots.
         assert_eq!(warm.iterations(), 1, "only the optimality pricing pass");
-    }
-
-    #[test]
-    fn reextract_matches_full_solve_inside_stability_window() {
-        let build = |l_lb: f64| {
-            let mut m = LpModel::new(Objective::Minimize);
-            let l = m.add_var("l", l_lb, INF, 0.0);
-            let y1 = m.add_var("y1", f64::NEG_INFINITY, INF, 0.0);
-            let t = m.add_var("t", f64::NEG_INFINITY, INF, 1.0);
-            m.add_constraint("c1", &[(y1, 1.0), (l, -1.0)], Relation::Ge, 0.115);
-            m.add_constraint("c2", &[(y1, 1.0)], Relation::Ge, 0.5);
-            m.add_constraint("c3", &[(t, 1.0)], Relation::Ge, 1.1);
-            m.add_constraint("c4", &[(t, 1.0), (y1, -1.0)], Relation::Ge, 1.0);
-            m
-        };
-        let opts = SimplexOptions::default();
-        let first = solve_sparse(&build(0.5), &opts, None).unwrap();
-        let m2 = build(0.7);
-        let re = reextract(&m2, &opts, first.basis()).unwrap();
-        let cold = solve_sparse(&m2, &opts, None).unwrap();
-        assert_eq!(re.objective().to_bits(), cold.objective().to_bits());
-        assert_eq!(re.iterations(), 0);
     }
 
     #[test]

@@ -129,13 +129,11 @@ pub enum VarStatus {
 
 /// A complete basis snapshot: the status of every structural column and
 /// every row's logical (slack) column. This is the warm-start currency:
-/// [`Solution::basis`] exports it, `simplex::solve_dense` /
-/// `simplex::solve_sparse` accept it as a starting point, and
-/// `simplex::reextract` rebuilds a full [`Solution`] from it without any
-/// pivoting. A basis outlives bound, objective and sense edits on its
-/// model (the edits Algorithm 2 and the tolerance flip perform), which is
-/// exactly what makes latency sweeps cheap: the previous optimum is a
-/// handful of pivots from the next.
+/// [`Solution::basis`] exports it, and `simplex::solve_dense` /
+/// `simplex::solve_sparse` accept it as a starting point. A basis
+/// outlives bound, objective and sense edits on its model (the edits
+/// Algorithm 2 and the tolerance flip perform), so the previous optimum
+/// is a handful of pivots from the next.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Basis {
     /// Status of each structural variable, by column index.
@@ -253,21 +251,6 @@ impl Solution {
     /// value for which the current basis stays optimal.
     pub fn salb_low(&self, v: VarId) -> f64 {
         self.lb_range(v).0
-    }
-
-    /// Feasible step window `[t_lo, t_hi]` (always containing 0) for a
-    /// **joint** lower-bound move: every listed variable's lower bound
-    /// shifts by `t·dir` simultaneously. Within the window the current
-    /// basis stays optimal, so a re-solve after such a move needs zero
-    /// pivots — this is the ranging query behind multi-parameter
-    /// (`L`/`G`/`o`) sweep steps, generalising [`Solution::lb_range`]
-    /// from the single-column pattern to an arbitrary direction.
-    pub fn lb_step_range(&self, moves: &[(VarId, f64)]) -> (f64, f64) {
-        let moves: Vec<(usize, f64, VarStatus)> = moves
-            .iter()
-            .map(|&(v, dir)| (v.0 as usize, dir, self.var_status[v.0 as usize]))
-            .collect();
-        self.ranging.lb_step_range(&moves)
     }
 
     /// Number of simplex iterations performed (phases 1 and 2 combined).

@@ -1,8 +1,8 @@
-//! Solver conformance suite: one shared battery run over **every backend
-//! × every start**.
+//! Solver conformance suite: one shared battery run over **both
+//! factorisations × every start**.
 //!
-//! Backends come from the public registry (`by_name` over
-//! `BACKEND_NAMES`: dense, sparse, parametric, dual). Starts are the
+//! The factorisations are the solver ([`SparseSimplex`], sparse LU) and
+//! the dense-inverse reference ([`solve_dense`]). Starts are the
 //! ways a solve can begin in this codebase: cold (all-logical), warm
 //! from a reference optimal basis, and — for the DAG LPs that mirror
 //! Algorithm 1 — the two crash bases `llamp-core` builds (the exact
@@ -12,23 +12,26 @@
 //! values, duals, reduced costs and lower-bound ranging all within 1e-9
 //! of the dense cold reference — and whenever two runs finish on the
 //! *same final basis*, their canonical extractions must be **byte
-//! identical** (`to_bits` equality), which is the contract the engine's
-//! cross-backend campaign identity rests on.
+//! identical** (`to_bits` equality): canonical extraction makes a
+//! solution a pure function of (model, final basis).
 //!
 //! Inputs: random DAG longest-path LPs (proptest; integer cost grids so
 //! degenerate ties are the norm) plus the Beale / degenerate fixed
 //! corpus.
 
-use llamp_lp::backend::{by_name, BACKEND_NAMES};
+use llamp_lp::simplex::{solve_dense, SimplexOptions};
 use llamp_lp::solution::VarStatus;
-use llamp_lp::{Basis, ConId, LpModel, Objective, Relation, Solution, VarId};
+use llamp_lp::{Basis, ConId, LpModel, Objective, Relation, Solution, SparseSimplex, VarId};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
 // The battery
 // ---------------------------------------------------------------------
 
-/// How a backend run begins.
+/// The factorisations under test, by label.
+const FACTORS: &[&str] = &["dense", "sparse"];
+
+/// How a run begins.
 enum Start<'a> {
     Cold,
     Seeded(&'a str, &'a Basis),
@@ -43,16 +46,21 @@ impl Start<'_> {
     }
 }
 
-fn run(backend_name: &str, start: &Start, model: &LpModel) -> Solution {
-    let mut b = by_name(backend_name).expect("registry backend");
-    match start {
-        Start::Cold => b.solve(model),
-        Start::Seeded(_, basis) => {
+fn run(factor: &str, start: &Start, model: &LpModel) -> Solution {
+    let warm = match start {
+        Start::Cold => None,
+        Start::Seeded(_, basis) => Some(*basis),
+    };
+    let out = if factor == "dense" {
+        solve_dense(model, &SimplexOptions::default(), warm)
+    } else {
+        let mut b = SparseSimplex::default();
+        if let Some(basis) = warm {
             b.seed(basis);
-            b.resolve(model)
         }
-    }
-    .unwrap_or_else(|e| panic!("{backend_name}/{}: solve failed: {e}", start.label()))
+        b.resolve(model)
+    };
+    out.unwrap_or_else(|e| panic!("{factor}/{}: solve failed: {e}", start.label()))
 }
 
 /// Assert that `sol` and `reference` finished on the same basis and
@@ -102,17 +110,12 @@ fn assert_bitwise(
     }
 }
 
-/// Run every backend × start.
+/// Run both factorisations × every start.
 ///
-/// The contract, exactly as the engine relies on it:
+/// The contract:
 ///
-/// * **Per start, across backends**: all four backends land on the same
-///   final basis and report byte-identical numbers. (Sole carve-out:
-///   the dual backend seeded with a primal-*infeasible* basis — the
-///   heuristic crash — may legitimately pivot to a different optimal
-///   vertex of a degenerate optimum; there it must still match the
-///   reference objective to 1e-9, and bitwise whenever the bases do
-///   coincide.)
+/// * **Per start, across factorisations**: dense and sparse land on the
+///   same final basis and report byte-identical numbers.
 /// * **Across starts**: every run reports the same optimum objective to
 ///   1e-9 — alternative optimal bases may differ in non-binding primal
 ///   values and degenerate duals, which is why byte-identity is only a
@@ -135,25 +138,15 @@ fn battery(model: &LpModel, vars: &[VarId], cons: &[ConId], seeds: &[(&str, &Bas
             reference.objective(),
             cold_ref.objective()
         );
-        for name in BACKEND_NAMES {
-            let sol = run(name, start, model);
-            let label = format!("{name}/{}", start.label());
+        for factor in FACTORS {
+            let sol = run(factor, start, model);
+            let label = format!("{factor}/{}", start.label());
             assert!(
                 close(cold_ref.objective(), sol.objective()),
                 "{label}: objective {} vs cold {}",
                 sol.objective(),
                 cold_ref.objective()
             );
-            if sol.basis() != reference.basis() {
-                // Only the dual backend fed the primal-infeasible
-                // heuristic crash may take a different (dual-simplex)
-                // path to a different optimal vertex.
-                assert!(
-                    *name == "dual" && start.label() == "crash-topological",
-                    "{label}: final basis diverged from the dense reference"
-                );
-                continue;
-            }
             assert_bitwise(&label, &reference, &sol, vars, cons);
         }
     }
@@ -318,7 +311,7 @@ fn crash_bases(lp: &DagLp, l0: f64) -> (Basis, Basis) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The full battery on random DAG LPs: 4 backends × (cold, warm,
+    /// The full battery on random DAG LPs: 2 factorisations × (cold, warm,
     /// longest-path crash, heuristic crash).
     #[test]
     fn dag_lps_conform_across_backends_and_starts(dag in dag_strategy()) {
@@ -333,13 +326,13 @@ proptest! {
     }
 
     /// The longest-path crash is optimal at its own point: seeding it
-    /// into the sparse backend solves with zero pivots, and the objective
+    /// into the sparse solver solves with zero pivots, and the objective
     /// equals the forward longest-path recursion run in plain arithmetic.
     #[test]
     fn longest_path_crash_needs_no_pivots(dag in dag_strategy()) {
         let lp = build_dag_lp(&dag);
         let (crash_lp, _) = crash_bases(&lp, dag.l0);
-        let mut b = by_name("sparse").unwrap();
+        let mut b = SparseSimplex::default();
         b.seed(&crash_lp);
         let sol = b.resolve(&lp.model).expect("crash-seeded solve");
         let stats = b.stats();

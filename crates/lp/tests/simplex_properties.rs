@@ -387,7 +387,7 @@ proptest! {
 
     /// LU reuse is invisible in the bits: a sweep-shaped sequence of
     /// re-solves (bound moves only, the constraint matrix untouched) must
-    /// produce bitwise-identical solutions whether the backend reuses the
+    /// produce bitwise-identical solutions whether the solver reuses the
     /// previous factorisation or refactorises every install. This is the
     /// soundness property behind the shared-LU sweep path: adoption only
     /// fires when the incoming basis and matrix are bit-identical to what
@@ -395,7 +395,7 @@ proptest! {
     /// the canonical extraction reports.
     #[test]
     fn lu_reuse_does_not_change_any_bit(lp in lp_strategy(5, 6), bumps in prop::collection::vec(0.0f64..1.0, 1..5)) {
-        use llamp_lp::backend::{SolverBackend, SparseSimplex};
+        use llamp_lp::SparseSimplex;
         let reuse_on = SimplexOptions { lu_reuse: true, ..Default::default() };
         let reuse_off = SimplexOptions { lu_reuse: false, ..Default::default() };
         let mut on = SparseSimplex::with_options(reuse_on);
