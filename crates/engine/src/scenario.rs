@@ -586,12 +586,13 @@ impl Scenario {
 /// backend-honest way to answer zones without an envelope.
 fn eval_zones(analyzer: &Analyzer, base: f64, hi: f64) -> ZonesResult {
     let t0 = analyzer.evaluate(base).runtime;
+    let t_hi = analyzer.evaluate(hi).runtime;
     let zone = |pct: f64| -> f64 {
         let cap = t0 * (1.0 + pct / 100.0);
-        if analyzer.evaluate(hi).runtime <= cap {
+        if t_hi <= cap {
             return f64::INFINITY;
         }
-        if analyzer.evaluate(base).runtime > cap {
+        if t0 > cap {
             return 0.0;
         }
         let (mut lo, mut up) = (base, hi);

@@ -75,13 +75,25 @@ fn solver_stall_recovery_is_byte_identical() {
     let _g = chaos_session();
     let clean = run_bytes(0);
     llamp_faults::configure("solve.stall:1", 0).unwrap();
+    llamp_obs::enable();
     let faulted = run_bytes(0);
+    let snap = llamp_obs::take();
+    llamp_obs::disable();
     assert!(llamp_faults::fired_total() >= 1, "fault never fired");
     llamp_faults::clear();
     assert_eq!(
         clean, faulted,
         "solver fallback ladder must reproduce the fault-free bytes"
     );
+    // The crash-seeded cold re-solve is the rung that answers, and no
+    // other rung exists to take over.
+    assert_eq!(snap.counters.get("solve.fallback.cold").copied(), Some(1));
+    let rungs: Vec<&String> = snap
+        .counters
+        .keys()
+        .filter(|k| k.starts_with("solve.fallback."))
+        .collect();
+    assert_eq!(rungs, ["solve.fallback.cold"], "unexpected rung counters");
 }
 
 #[test]

@@ -17,7 +17,6 @@ use std::sync::Arc;
 /// Sparse LU / eta-file simplex with warm-start state.
 #[derive(Debug, Default)]
 pub struct SparseSimplex {
-    opts: SimplexOptions,
     warm: Option<Basis>,
     /// Last solution's ranging data — the retained LU a warm start whose
     /// basis and matrix bits match may adopt instead of refactorising.
@@ -28,25 +27,21 @@ pub struct SparseSimplex {
 }
 
 impl SparseSimplex {
-    /// Solver with explicit simplex options.
-    pub fn with_options(opts: SimplexOptions) -> Self {
-        Self {
-            opts,
-            ..Self::default()
-        }
-    }
-
     /// Cold solve: ignore (and replace) any retained warm state.
     pub fn solve(&mut self, model: &LpModel) -> Result<Solution, SolveError> {
-        let sol = solve_sparse(model, &self.opts, None)?;
+        let sol = solve_sparse(model, &SimplexOptions::default(), None)?;
         Ok(self.remember(sol))
     }
 
     /// Re-solve after incremental model edits, warm-starting from the
     /// retained basis when there is one (cold otherwise).
     pub fn resolve(&mut self, model: &LpModel) -> Result<Solution, SolveError> {
-        let sol =
-            solve_sparse_reusing(model, &self.opts, self.warm.as_ref(), self.reuse.as_deref())?;
+        let sol = solve_sparse_reusing(
+            model,
+            &SimplexOptions::default(),
+            self.warm.as_ref(),
+            self.reuse.as_deref(),
+        )?;
         Ok(self.remember(sol))
     }
 

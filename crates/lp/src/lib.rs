@@ -12,7 +12,7 @@
 //! * [`simplex`] — a bounded-variable primal simplex, generic over the
 //!   basis factorisation (the internal `factor` module): a sparse LU with
 //!   a product-form eta file (the solver) or the dense inverse (the
-//!   cross-validation reference and the last fallback rung).
+//!   cross-validation reference, [`simplex::solve_dense`]).
 //!   Artificial-free phase 1, Dantzig pricing with deterministic
 //!   lowest-index tie-breaking and a Bland fallback (anti-cycling), a
 //!   two-pass Harris ratio test, periodic refactorisation, and warm
@@ -61,9 +61,9 @@
 //! Failed solves surface as the typed [`SolveError`]: model properties
 //! (infeasible / unbounded) versus recoverable solve failures (budget
 //! exhaustion, numerical distress, injected faults). For the latter,
-//! [`robust::resolve_robust`] walks the fallback ladder — warm resolve →
-//! cold sparse re-solve → direct dense-inverse re-solve — and canonical
-//! extraction guarantees any rung that succeeds returns the
+//! [`robust::resolve_robust`] walks the two-rung fallback ladder — warm
+//! resolve, then a cold re-solve from the caller's crash basis — and
+//! canonical extraction guarantees a rung that succeeds returns the
 //! byte-identical answer the no-fault solve would have produced.
 
 pub mod backend;

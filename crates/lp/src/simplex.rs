@@ -39,10 +39,9 @@
 //! * **Factorisation.** The basis is held behind the internal
 //!   `BasisFactor` trait: `SparseLu` (Markowitz-ordered sparse LU +
 //!   product-form eta file, the solver's path) or `DenseInv` (dense
-//!   inverse + dense eta updates, the cross-validation reference and
-//!   the last fallback rung). Refactoring
-//!   is periodic *and* triggered early when the eta file outgrows the
-//!   fresh factorisation. All hot-path linear algebra runs through
+//!   inverse + dense eta updates, the cross-validation reference behind
+//!   [`solve_dense`]). Refactoring is periodic *and* triggered early
+//!   when the eta file outgrows the fresh factorisation. All hot-path linear algebra runs through
 //!   caller-owned [`IndexedVec`] workspaces: the FTRAN / BTRAN / pricing
 //!   path performs **no heap allocation**.
 //! * **Warm starts.** A solved model exposes its final [`Basis`];
@@ -93,16 +92,27 @@ const DEVEX_RESET: f64 = 1e8;
 /// dense burst cannot thrash the factoriser.
 const MIN_PIVOTS_BEFORE_ETA_REFACTOR: u64 = 16;
 
-/// Tunable solver parameters. The defaults suit the well-scaled (±1
-/// coefficient) models LLAMP generates.
+/// Primal feasibility tolerance (absolute, on variable bounds; scaled by
+/// the bound's magnitude through [`viol_tol`]).
+const FEAS_TOL: f64 = 1e-7;
+/// Dual feasibility / optimality tolerance (on reduced costs).
+const OPT_TOL: f64 = 1e-7;
+/// Minimum magnitude accepted for a pivot element (also the ranging
+/// ratio-test threshold).
+const PIVOT_TOL: f64 = 1e-9;
+/// Numerical-distress tripwire on incremental-pricing drift: when a
+/// from-scratch reduced-cost resync disagrees with the incremental values
+/// by more than this relative gap, the solve aborts with
+/// [`SolveError::Distress`] rather than risk certifying a wrong optimum.
+/// It sits ~8 orders of magnitude above the drift measured on LLAMP's
+/// models (~1e-14).
+const DRIFT_LIMIT: f64 = 1e-6;
+
+/// The solver's three test-reachable parameters. Every production caller
+/// uses the defaults, which suit the well-scaled (±1 coefficient) models
+/// LLAMP generates; the tolerances are fixed constants.
 #[derive(Debug, Clone)]
 pub struct SimplexOptions {
-    /// Primal feasibility tolerance (absolute, on variable bounds).
-    pub feas_tol: f64,
-    /// Dual feasibility / optimality tolerance (on reduced costs).
-    pub opt_tol: f64,
-    /// Minimum magnitude accepted for a pivot element.
-    pub pivot_tol: f64,
     /// Hard iteration cap; `0` selects `20_000 + 50·(m+n)`.
     pub max_iterations: u64,
     /// Refactorise the basis every this many pivots (an eta file that
@@ -110,59 +120,14 @@ pub struct SimplexOptions {
     pub refactor_every: u64,
     /// Switch to Bland's rule after this many consecutive degenerate pivots.
     pub bland_after: u32,
-    /// Wall-clock budget in milliseconds; `0` disables. Checked every 64
-    /// iterations, so overshoot is bounded by 64 iteration times. A
-    /// tripped budget returns [`SolveError::TimeLimit`] — recoverable, so
-    /// the fallback ladder may still answer (off by default: wall-clock
-    /// aborts are inherently machine-dependent).
-    pub time_limit_ms: u64,
-    /// Stall budget: abort with [`SolveError::Stalled`] after this many
-    /// *consecutive* degenerate (zero-step) iterations; `0` disables.
-    /// Generously above `bland_after`, this only fires when even Bland's
-    /// anti-cycling rule is grinding without progress.
-    pub stall_iters: u64,
-    /// Numerical-distress tripwire on incremental-pricing drift: when a
-    /// from-scratch reduced-cost resync disagrees with the incremental
-    /// values by more than this relative gap, the solve aborts with
-    /// [`SolveError::Distress`] rather than risk certifying a wrong
-    /// optimum. `0.0` disables. The default `1e-6` sits ~8 orders of
-    /// magnitude above the drift measured on LLAMP's models (~1e-14).
-    pub drift_limit: f64,
-    /// Distress tripwire on repeated Bland engagements: abort when one
-    /// solve has to *enter* Bland mode more than this many separate
-    /// times; `0` disables (the default — degenerate-but-finite models
-    /// legitimately re-engage Bland).
-    pub bland_streak_limit: u32,
-    /// Distress tripwire on singular refactorisations: abort after this
-    /// many refactorisations come back singular within one solve; `0`
-    /// disables (the default — a singular refactorisation falls back to
-    /// the eta-updated factor, which is usually fine once).
-    pub singular_limit: u32,
-    /// Reuse a previous solve's LU factorisation when the incoming warm
-    /// basis and constraint matrix are bit-identical to the one it was
-    /// built for, and hand the final factorisation to the extracted
-    /// solution instead of refactorising (on by default). This only
-    /// skips redundant factorisations of identical matrices, so the
-    /// solution bytes are unchanged; the switch exists so tests can
-    /// certify that claim by diffing both paths.
-    pub lu_reuse: bool,
 }
 
 impl Default for SimplexOptions {
     fn default() -> Self {
         Self {
-            feas_tol: 1e-7,
-            opt_tol: 1e-7,
-            pivot_tol: 1e-9,
             max_iterations: 0,
             refactor_every: 256,
             bland_after: 64,
-            time_limit_ms: 0,
-            stall_iters: 0,
-            drift_limit: 1e-6,
-            bland_streak_limit: 0,
-            singular_limit: 0,
-            lu_reuse: true,
         }
     }
 }
@@ -183,7 +148,6 @@ pub struct RangingData {
     x: Vec<f64>,
     lb: Vec<f64>,
     ub: Vec<f64>,
-    pivot_tol: f64,
     /// Whether `lu` came from the standard-threshold factorisation (or a
     /// solver takeover of one). The min-pivot salvage path produces an LU
     /// that `refactor` would reject, which must never seed a later solve.
@@ -217,7 +181,7 @@ impl RangingData {
             up = self.ub[j] - self.x[j];
         }
         for (i, &wi) in self.ftran(j).iter().enumerate() {
-            if wi.abs() <= self.pivot_tol {
+            if wi.abs() <= PIVOT_TOL {
                 continue;
             }
             let b = self.basis[i];
@@ -321,17 +285,9 @@ struct Core<F: BasisFactor> {
     infeas_count: usize,
     /// Whether the current Bland streak has already forced a resync.
     bland_active: bool,
-    /// How many separate times this solve has *entered* Bland mode
-    /// (feeds the `bland_streak_limit` distress tripwire).
-    bland_engagements: u32,
-    /// Singular refactorisations within this solve (feeds the
-    /// `singular_limit` distress tripwire).
-    singular_refactors: u32,
     /// Distress detected off the main loop (drift recorded inside a
     /// resync); the iteration loop aborts on it at the next check.
     distressed: Option<Distress>,
-    /// Wall-clock cutoff from `SimplexOptions::time_limit_ms`.
-    deadline: Option<std::time::Instant>,
     // --- solver-owned workspaces (no per-iteration allocation) ---
     w: IndexedVec,
     rho: IndexedVec,
@@ -433,7 +389,6 @@ fn solve_generic<F: BasisFactor>(
     reuse: Option<&RangingData>,
 ) -> Result<Solution, SolveError> {
     let mut core: Core<F> = Core::build_reusing(model, opts.clone(), warm, reuse);
-    core.arm_deadline();
     let max_iters = core.iteration_cap();
 
     // Phase 1: restore primal feasibility if the starting basis violates
@@ -478,7 +433,7 @@ enum PhaseOutcome {
     Done,
     Unbounded,
     /// A budget or tripwire aborted the phase with this typed error
-    /// (iteration/time/stall budget, numerical distress, injected fault).
+    /// (iteration budget, resync drift, injected fault).
     Abort(SolveError),
 }
 
@@ -491,14 +446,6 @@ impl<F: BasisFactor> Core<F> {
         } else {
             self.opts.max_iterations
         }
-    }
-
-    /// Start the wall clock for `SimplexOptions::time_limit_ms` (no-op
-    /// when the budget is disabled).
-    fn arm_deadline(&mut self) {
-        self.deadline = (self.opts.time_limit_ms > 0).then(|| {
-            std::time::Instant::now() + std::time::Duration::from_millis(self.opts.time_limit_ms)
-        });
     }
 
     /// Build a solver core for `model`, optionally installing a warm
@@ -610,10 +557,7 @@ impl<F: BasisFactor> Core<F> {
             cb1: vec![0.0; m],
             infeas_count: 0,
             bland_active: false,
-            bland_engagements: 0,
-            singular_refactors: 0,
             distressed: None,
-            deadline: None,
             w: IndexedVec::new(m),
             rho: IndexedVec::new(m),
             alpha: IndexedVec::new(n_total),
@@ -676,8 +620,7 @@ impl<F: BasisFactor> Core<F> {
     /// those conditions the retained LU *is* what refactorisation would
     /// rebuild, so adopting it changes no bits downstream.
     fn reuse_matches(&self, reuse: &RangingData, basis: &[usize]) -> bool {
-        self.opts.lu_reuse
-            && reuse.strict
+        reuse.strict
             && reuse.basis == basis
             && reuse.col_start == self.col_start
             && reuse.col_rows == self.col_rows
@@ -811,7 +754,7 @@ impl<F: BasisFactor> Core<F> {
     /// Whether every basic variable sits within its (magnitude-scaled,
     /// `mult`-relaxed) bounds.
     fn is_primal_feasible(&self, mult: f64) -> bool {
-        let feas = self.opts.feas_tol * mult;
+        let feas = FEAS_TOL * mult;
         self.basis.iter().all(|&b| {
             let v = self.x[b];
             v >= self.lb[b] - viol_tol(self.lb[b], feas)
@@ -838,10 +781,9 @@ impl<F: BasisFactor> Core<F> {
     #[inline]
     fn p1_class(&self, b: usize) -> f64 {
         let v = self.x[b];
-        let feas = self.opts.feas_tol;
-        if v < self.lb[b] - viol_tol(self.lb[b], feas) {
+        if v < self.lb[b] - viol_tol(self.lb[b], FEAS_TOL) {
             -1.0
-        } else if v > self.ub[b] + viol_tol(self.ub[b], feas) {
+        } else if v > self.ub[b] + viol_tol(self.ub[b], FEAS_TOL) {
             1.0
         } else {
             0.0
@@ -909,7 +851,7 @@ impl<F: BasisFactor> Core<F> {
         self.d = d;
         if record_drift {
             self.stats.max_resync_drift = self.stats.max_resync_drift.max(drift);
-            if self.opts.drift_limit > 0.0 && drift > self.opts.drift_limit {
+            if drift > DRIFT_LIMIT {
                 self.distressed = Some(Distress::ResyncDrift);
             }
         }
@@ -931,7 +873,7 @@ impl<F: BasisFactor> Core<F> {
     /// the entering direction, or `None`.
     #[inline]
     fn eligible(&self, j: usize) -> Option<f64> {
-        let opt = self.opts.opt_tol;
+        let opt = OPT_TOL;
         let dj = self.d[j];
         match self.status[j] {
             NbStatus::Basic => None,
@@ -1065,16 +1007,16 @@ impl<F: BasisFactor> Core<F> {
     /// `i` blocks a step that changes it at `rate` per unit step.
     /// Phase-aware: an infeasible basic variable blocks at the bound it is
     /// approaching and never at one behind it.
-    fn blocking_bound(&self, i: usize, rate: f64, phase1: bool, feas: f64) -> Option<(f64, bool)> {
+    fn blocking_bound(&self, i: usize, rate: f64, phase1: bool) -> Option<(f64, bool)> {
         let b = self.basis[i];
         let xb = self.x[b];
         let (lbi, ubi) = (self.lb[b], self.ub[b]);
         if rate > 0.0 {
             // x_b increases.
-            if phase1 && xb < lbi - viol_tol(lbi, feas) {
+            if phase1 && xb < lbi - viol_tol(lbi, FEAS_TOL) {
                 // Infeasible below: blocks when it reaches lb.
                 Some((lbi, false))
-            } else if phase1 && xb > ubi + viol_tol(ubi, feas) {
+            } else if phase1 && xb > ubi + viol_tol(ubi, FEAS_TOL) {
                 // Already above ub and moving further up: no bound ahead
                 // to cross (its cost is in the pricing).
                 None
@@ -1085,9 +1027,9 @@ impl<F: BasisFactor> Core<F> {
             }
         } else {
             // x_b decreases.
-            if phase1 && xb > ubi + viol_tol(ubi, feas) {
+            if phase1 && xb > ubi + viol_tol(ubi, FEAS_TOL) {
                 Some((ubi, true))
-            } else if phase1 && xb < lbi - viol_tol(lbi, feas) {
+            } else if phase1 && xb < lbi - viol_tol(lbi, FEAS_TOL) {
                 None
             } else if lbi.is_finite() {
                 Some((lbi, false))
@@ -1100,7 +1042,6 @@ impl<F: BasisFactor> Core<F> {
     /// Run simplex iterations for one phase. `phase1` selects infeasibility
     /// costs instead of the model objective.
     fn iterate(&mut self, phase1: bool, max_iters: u64) -> PhaseOutcome {
-        let feas = self.opts.feas_tol;
         let mut degenerate_streak = 0u32;
         self.enter_phase(phase1);
 
@@ -1113,15 +1054,6 @@ impl<F: BasisFactor> Core<F> {
                 // the typed injected-fault error the fallback ladder (and
                 // chaos suite) expects.
                 return PhaseOutcome::Abort(SolveError::Injected);
-            }
-            if self.opts.stall_iters > 0 && degenerate_streak as u64 >= self.opts.stall_iters {
-                return PhaseOutcome::Abort(SolveError::Stalled);
-            }
-            if let Some(deadline) = self.deadline {
-                // Amortise the clock read: one syscall per 64 iterations.
-                if self.iterations & 63 == 0 && std::time::Instant::now() > deadline {
-                    return PhaseOutcome::Abort(SolveError::TimeLimit);
-                }
             }
             self.iterations += 1;
             if phase1 {
@@ -1138,12 +1070,6 @@ impl<F: BasisFactor> Core<F> {
                 // costs: resynchronise once per streak.
                 self.resync_d(phase1, true);
                 self.bland_active = true;
-                self.bland_engagements += 1;
-                if self.opts.bland_streak_limit > 0
-                    && self.bland_engagements > self.opts.bland_streak_limit
-                {
-                    return PhaseOutcome::Abort(SolveError::Distress(Distress::BlandStreak));
-                }
             }
             if let Some(d) = self.distressed.take() {
                 // A drift-recording resync (Bland engagement or
@@ -1186,12 +1112,12 @@ impl<F: BasisFactor> Core<F> {
             let mut t_max = t_room;
             for (i, wi) in self.w.iter() {
                 let rate = -dir * wi;
-                if rate.abs() <= self.opts.pivot_tol {
+                if rate.abs() <= PIVOT_TOL {
                     continue;
                 }
-                if let Some((bound, _)) = self.blocking_bound(i, rate, phase1, feas) {
+                if let Some((bound, _)) = self.blocking_bound(i, rate, phase1) {
                     let xb = self.x[self.basis[i]];
-                    let expanded = (bound - xb) / rate + viol_tol(bound, feas) / rate.abs();
+                    let expanded = (bound - xb) / rate + viol_tol(bound, FEAS_TOL) / rate.abs();
                     if expanded < t_max {
                         t_max = expanded;
                     }
@@ -1209,10 +1135,10 @@ impl<F: BasisFactor> Core<F> {
             let mut leave_w = 0.0f64;
             for (i, wi) in self.w.iter() {
                 let rate = -dir * wi;
-                if rate.abs() <= self.opts.pivot_tol {
+                if rate.abs() <= PIVOT_TOL {
                     continue;
                 }
-                if let Some((bound, at_upper)) = self.blocking_bound(i, rate, phase1, feas) {
+                if let Some((bound, at_upper)) = self.blocking_bound(i, rate, phase1) {
                     let xb = self.x[self.basis[i]];
                     let strict = ((bound - xb) / rate).max(0.0);
                     if strict <= t_max {
@@ -1382,31 +1308,18 @@ impl<F: BasisFactor> Core<F> {
                     let eta_heavy = self.pivots_since_refactor >= MIN_PIVOTS_BEFORE_ETA_REFACTOR
                         && self.factor.factor_nnz() > 0
                         && self.factor.update_nnz() > 2 * self.factor.factor_nnz();
-                    if self.pivots_since_refactor >= self.opts.refactor_every || eta_heavy {
-                        if self.refactorize() {
-                            self.recompute_basics();
-                            // All basic values moved (slightly): rebuild the
-                            // phase-1 classification and resynchronise the
-                            // incremental reduced costs. Drift is recorded
-                            // only when the phase-1 costs did not flip — a
-                            // flipped cost changes the objective itself, so
-                            // the gap would not measure incremental error.
-                            let costs_flipped = phase1 && self.rebuild_cb1();
-                            self.resync_d(phase1, !costs_flipped);
-                        } else {
-                            // Singular refactorisation: keep the eta-updated
-                            // factor (historic behaviour), but count it — a
-                            // basis that keeps refusing to factor is
-                            // numerical distress, not bad luck.
-                            self.singular_refactors += 1;
-                            if self.opts.singular_limit > 0
-                                && self.singular_refactors >= self.opts.singular_limit
-                            {
-                                return PhaseOutcome::Abort(SolveError::Distress(
-                                    Distress::SingularFactor,
-                                ));
-                            }
-                        }
+                    if (self.pivots_since_refactor >= self.opts.refactor_every || eta_heavy)
+                        && self.refactorize()
+                    {
+                        self.recompute_basics();
+                        // All basic values moved (slightly): rebuild the
+                        // phase-1 classification and resynchronise the
+                        // incremental reduced costs. Drift is recorded
+                        // only when the phase-1 costs did not flip — a
+                        // flipped cost changes the objective itself, so
+                        // the gap would not measure incremental error.
+                        let costs_flipped = phase1 && self.rebuild_cb1();
+                        self.resync_d(phase1, !costs_flipped);
                     }
                 }
             }
@@ -1477,10 +1390,7 @@ impl<F: BasisFactor> Core<F> {
         // enumerates columns ascending — that LU *is* bit-for-bit the
         // factorisation the canonical re-factor below would rebuild.
         // Take it over instead of factorising the same matrix again.
-        let taken = if self.opts.lu_reuse
-            && self.factor_fresh
-            && self.basis.windows(2).all(|w| w[0] < w[1])
-        {
+        let taken = if self.factor_fresh && self.basis.windows(2).all(|w| w[0] < w[1]) {
             self.factor.take_sparse_lu()
         } else {
             None
@@ -1587,7 +1497,6 @@ impl<F: BasisFactor> Core<F> {
             x: self.x,
             lb: self.lb,
             ub: self.ub,
-            pivot_tol: self.opts.pivot_tol,
             strict,
         };
 
@@ -1860,7 +1769,8 @@ mod tests {
         assert_close(warm.objective(), 3.0);
     }
 
-    /// A model that needs at least a few pivots, for exercising budgets.
+    /// A model that needs at least a few pivots, for exercising the
+    /// iteration budget.
     fn pivoty_model() -> LpModel {
         let mut m = LpModel::new(Objective::Maximize);
         let a = m.add_var("a", 0.0, INF, 3.0);
@@ -1881,57 +1791,5 @@ mod tests {
             solve_sparse(&pivoty_model(), &opts, None).unwrap_err(),
             SolveError::IterationLimit
         );
-    }
-
-    #[test]
-    fn generous_time_budget_does_not_change_the_answer() {
-        // time_limit_ms measures from solve start, so forcing a trip in a
-        // unit test would be timing-flaky; assert the plumbing instead — a
-        // generous budget is bit-identical to no budget.
-        let generous = SimplexOptions {
-            time_limit_ms: 60_000,
-            ..Default::default()
-        };
-        let clean = solve_sparse(&pivoty_model(), &SimplexOptions::default(), None).unwrap();
-        let timed = solve_sparse(&pivoty_model(), &generous, None).unwrap();
-        assert_eq!(clean.objective().to_bits(), timed.objective().to_bits());
-    }
-
-    #[test]
-    fn stall_budget_ignores_productive_iterations() {
-        // The classic example pivots productively each step; a stall
-        // budget of 1 (one degenerate iteration allowed... none happen)
-        // must not fire.
-        let opts = SimplexOptions {
-            stall_iters: 1,
-            ..Default::default()
-        };
-        let sol = solve_sparse(&pivoty_model(), &opts, None).unwrap();
-        assert_close(sol.objective(), 36.0);
-    }
-
-    #[test]
-    fn drift_tripwire_fires_on_absurd_threshold() {
-        // Force a refactor+resync every pivot with a drift limit below
-        // machine noise: any recorded drift > 0 aborts with distress.
-        let opts = SimplexOptions {
-            refactor_every: 1,
-            drift_limit: 1e-300,
-            ..Default::default()
-        };
-        match solve_sparse(&pivoty_model(), &opts, None) {
-            Err(SolveError::Distress(Distress::ResyncDrift)) | Ok(_) => {}
-            other => panic!("unexpected outcome: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn budgets_off_by_default() {
-        let opts = SimplexOptions::default();
-        assert_eq!(opts.time_limit_ms, 0);
-        assert_eq!(opts.stall_iters, 0);
-        assert_eq!(opts.bland_streak_limit, 0);
-        assert_eq!(opts.singular_limit, 0);
-        assert!(opts.drift_limit > 0.0, "drift tripwire is on by default");
     }
 }

@@ -386,9 +386,11 @@ proptest! {
     }
 
     /// LU reuse is invisible in the bits: a sweep-shaped sequence of
-    /// re-solves (bound moves only, the constraint matrix untouched) must
-    /// produce bitwise-identical solutions whether the solver reuses the
-    /// previous factorisation or refactorises every install. This is the
+    /// re-solves (bound moves only, the constraint matrix untouched) on a
+    /// [`SparseSimplex`], which adopts the previous factorisation where it
+    /// can, must produce bitwise-identical solutions to `solve_dense` from
+    /// the same warm basis. The dense-inverse path never adopts or hands
+    /// over an LU, so it is the reuse-free reference. This is the
     /// soundness property behind the shared-LU sweep path: adoption only
     /// fires when the incoming basis and matrix are bit-identical to what
     /// a fresh refactorisation would consume, so it can never change what
@@ -396,10 +398,8 @@ proptest! {
     #[test]
     fn lu_reuse_does_not_change_any_bit(lp in lp_strategy(5, 6), bumps in prop::collection::vec(0.0f64..1.0, 1..5)) {
         use llamp_lp::SparseSimplex;
-        let reuse_on = SimplexOptions { lu_reuse: true, ..Default::default() };
-        let reuse_off = SimplexOptions { lu_reuse: false, ..Default::default() };
-        let mut on = SparseSimplex::with_options(reuse_on);
-        let mut off = SparseSimplex::with_options(reuse_off);
+        let opts = SimplexOptions::default();
+        let mut on = SparseSimplex::default();
         let (m, vars, cons) = build(&lp);
         let bitwise = |a: Result<&llamp_lp::Solution, &llamp_lp::SolveError>,
                        b: Result<&llamp_lp::Solution, &llamp_lp::SolveError>|
@@ -429,7 +429,7 @@ proptest! {
             }
         };
         let first_on = on.solve(&m);
-        let first_off = off.solve(&m);
+        let first_off = solve_dense(&m, &opts, None);
         prop_assert!(bitwise(first_on.as_ref(), first_off.as_ref()).is_ok(),
             "cold solve: {:?}", bitwise(first_on.as_ref(), first_off.as_ref()));
         if first_on.is_err() { return Ok(()); }
@@ -444,14 +444,14 @@ proptest! {
             let (m2, _, _) = build(&lp2);
             if i % 2 == 0 {
                 on.seed(&anchor);
-                off.seed(&anchor);
             } else {
                 // Odd steps re-solve from the previous point's basis — the
                 // stability-window case where the adopted LU saves the
                 // whole refactorisation.
             }
+            let warm = on.warm_basis().cloned();
             let a = on.resolve(&m2);
-            let b = off.resolve(&m2);
+            let b = solve_dense(&m2, &opts, warm.as_ref());
             let check = bitwise(a.as_ref(), b.as_ref());
             prop_assert!(check.is_ok(), "step {i}: {check:?}");
         }
