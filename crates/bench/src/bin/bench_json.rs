@@ -273,7 +273,6 @@ fn main() {
             threads: sweep_threads,
             job_timeout: None,
             max_retries: 0,
-            ..Default::default()
         };
         let t_shard = Instant::now();
         let outs = llamp_engine::run_jobs(&cfg, chunks, |chunk: &Vec<f64>| {

@@ -71,12 +71,15 @@ impl CliError {
 
 fn main() -> ExitCode {
     llamp_util::tune_for_large_traces();
-    // Deterministic chaos: LLAMP_FAULTS / LLAMP_FAULTS_SEED arm the
-    // fault-injection registry for this process (see docs/ROBUSTNESS.md).
-    if let Err(e) = llamp_faults::init_from_env() {
-        eprintln!("llamp: LLAMP_FAULTS: {e}");
-        return ExitCode::from(2);
-    }
+    // Deterministic chaos: LLAMP_FAULTS / LLAMP_FAULTS_SEED arm the main
+    // thread for the life of the process (see docs/ROBUSTNESS.md).
+    let _faults = match llamp_faults::Faults::from_env() {
+        Ok(faults) => faults.as_ref().map(llamp_faults::Faults::install),
+        Err(e) => {
+            eprintln!("llamp: LLAMP_FAULTS: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
@@ -283,7 +286,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         threads,
         job_timeout,
         max_retries,
-        ..Default::default()
     };
 
     let cache_path = args.get("cache").map(PathBuf::from);

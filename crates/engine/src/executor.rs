@@ -17,6 +17,11 @@
 //!
 //! Results are returned **in input order**, so executor output is
 //! deterministic regardless of thread count or steal interleaving.
+//!
+//! Workers inherit the caller's `llamp-faults` handle and `llamp-obs`
+//! recorder, so a campaign run under an armed spec or a recording sees
+//! its workers' faults and spans, and a nested `run_jobs` inherits them
+//! again.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -34,11 +39,9 @@ pub struct ExecutorConfig {
     /// run is not a retry: `max_retries = 1` allows up to two runs.
     /// Deterministic jobs that fail deterministically simply fail
     /// `1 + max_retries` times; the retry exists for faults that do not
-    /// reproduce (injected chaos, load-dependent timeouts).
+    /// reproduce (injected chaos, load-dependent timeouts). Retries
+    /// run immediately.
     pub max_retries: u32,
-    /// Deterministic backoff before retry `k` (1-based): sleeps
-    /// `k * retry_backoff_ms`. 0 = retry immediately.
-    pub retry_backoff_ms: u64,
 }
 
 impl Default for ExecutorConfig {
@@ -47,7 +50,6 @@ impl Default for ExecutorConfig {
             threads: 0,
             job_timeout: None,
             max_retries: 1,
-            retry_backoff_ms: 0,
         }
     }
 }
@@ -121,11 +123,14 @@ where
     let results_ref = &results;
     let timeout = config.job_timeout;
     let max_retries = config.max_retries;
-    let retry_backoff_ms = config.retry_backoff_ms;
+    let faults = &llamp_faults::current();
+    let recorder = &llamp_obs::current();
 
     std::thread::scope(|scope| {
         for me in 0..threads {
             scope.spawn(move || {
+                let _faults = faults.as_ref().map(llamp_faults::Faults::install);
+                let _recorder = recorder.as_ref().map(llamp_obs::Recorder::install);
                 let mut busy_ns = 0u64;
                 loop {
                     // Own deque first (front: FIFO locally for cache
@@ -187,15 +192,9 @@ where
                     drop(job_span);
                     // Bounded retry: a failed attempt below the retry
                     // budget goes back on this worker's own deque (which
-                    // this loop will drain), after a deterministic
-                    // linear backoff.
+                    // this loop will drain).
                     if !matches!(status, JobStatus::Done(_)) && attempt < max_retries {
                         llamp_obs::counter("exec.retry", 1);
-                        if retry_backoff_ms > 0 {
-                            std::thread::sleep(Duration::from_millis(
-                                u64::from(attempt + 1) * retry_backoff_ms,
-                            ));
-                        }
                         deques[me]
                             .lock()
                             .expect("deque lock")
@@ -238,7 +237,6 @@ mod tests {
     fn all_jobs_run_in_input_order() {
         let cfg = ExecutorConfig {
             threads: 4,
-            job_timeout: None,
             ..Default::default()
         };
         let jobs: Vec<u64> = (0..100).collect();
@@ -253,7 +251,6 @@ mod tests {
     fn panics_are_isolated() {
         let cfg = ExecutorConfig {
             threads: 2,
-            job_timeout: None,
             ..Default::default()
         };
         let out = run_jobs(&cfg, vec![1, 2, 3], |&j| {
@@ -290,7 +287,6 @@ mod tests {
         // One worker's seeded jobs are heavy; others must steal them.
         let cfg = ExecutorConfig {
             threads: 4,
-            job_timeout: None,
             ..Default::default()
         };
         let counter = AtomicUsize::new(0);
@@ -307,7 +303,6 @@ mod tests {
         // clean `Done` — the failure is fully absorbed.
         let cfg = ExecutorConfig {
             threads: 2,
-            job_timeout: None,
             ..Default::default()
         };
         let first = AtomicUsize::new(0);
@@ -330,7 +325,6 @@ mod tests {
             threads: 1,
             job_timeout: None,
             max_retries: 2,
-            retry_backoff_ms: 0,
         };
         let attempts = AtomicUsize::new(0);
         let out: Vec<JobStatus<()>> = run_jobs(&cfg, vec![()], |_| {
@@ -347,7 +341,6 @@ mod tests {
             threads: 1,
             job_timeout: None,
             max_retries: 0,
-            retry_backoff_ms: 0,
         };
         let attempts = AtomicUsize::new(0);
         let out: Vec<JobStatus<()>> = run_jobs(&cfg, vec![()], |_| {
@@ -363,7 +356,6 @@ mod tests {
         let run = |threads| {
             let cfg = ExecutorConfig {
                 threads,
-                job_timeout: None,
                 ..Default::default()
             };
             run_jobs(&cfg, (0..37u64).collect(), |&j| j * j)

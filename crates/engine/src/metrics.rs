@@ -100,7 +100,7 @@ pub fn reduction_stats_value(s: &ReductionStats) -> Value {
     ])
 }
 
-/// Encode an obs [`Summary`] (spans/counters/gauges/histograms).
+/// Encode an obs [`Summary`] (spans/counters/histograms).
 fn obs_summary_value(obs: &Summary) -> Value {
     let int = |v: u64| Value::Int(v as i64);
     Value::Table(vec![
@@ -150,15 +150,6 @@ fn obs_summary_value(obs: &Summary) -> Value {
                 obs.counters
                     .iter()
                     .map(|(k, v)| (k.clone(), int(*v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "gauges".into(),
-            Value::Table(
-                obs.gauges
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Value::Float(*v)))
                     .collect(),
             ),
         ),
@@ -227,13 +218,6 @@ fn obs_summary_from_value(v: &Value) -> Summary {
     if let Some(Value::Table(counters)) = v.get("counters") {
         for (k, cv) in counters {
             out.counters.push((k.clone(), u(Some(cv))));
-        }
-    }
-    if let Some(Value::Table(gauges)) = v.get("gauges") {
-        for (k, gv) in gauges {
-            if let Some(x) = gv.as_f64() {
-                out.gauges.push((k.clone(), x));
-            }
         }
     }
     if let Some(Value::Table(hists)) = v.get("hists") {

@@ -389,7 +389,6 @@ impl Scenario {
                         threads,
                         job_timeout: None,
                         max_retries: 0,
-                        retry_backoff_ms: 0,
                     };
                     let outs = run_jobs(&cfg, chunks, |chunk: &&[f64]| {
                         let mut lp = analyzer.lp();

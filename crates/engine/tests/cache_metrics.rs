@@ -3,18 +3,9 @@
 //! cache behaviour actually observed — cold run, warm run, and a disk
 //! round-trip — for both cache-key families (grid campaigns use
 //! `pt`/`zones`, axes campaigns use `apt`/`mzones`).
-//!
-//! Obs state is process-global; every test serializes through a session
-//! lock (this binary is its own process).
 
 use llamp_engine::{run_campaign, CampaignSpec, ExecutorConfig, ResultCache};
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
-
-fn session_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
 
 const GRID_SPEC: &str = r#"
 name = "cache-obs-grid"
@@ -52,7 +43,6 @@ iters = 1
 fn config() -> ExecutorConfig {
     ExecutorConfig {
         threads: 1,
-        job_timeout: None,
         ..Default::default()
     }
 }
@@ -73,7 +63,6 @@ fn get(c: &BTreeMap<String, u64>, k: &str) -> u64 {
 
 #[test]
 fn grid_campaign_counts_pt_and_zones_kinds() {
-    let _guard = session_lock().lock().unwrap();
     let spec = CampaignSpec::parse(GRID_SPEC, "grid.toml").unwrap();
     let cache = ResultCache::new();
 
@@ -118,7 +107,6 @@ fn grid_campaign_counts_pt_and_zones_kinds() {
 
 #[test]
 fn axes_campaign_counts_apt_and_mzones_kinds() {
-    let _guard = session_lock().lock().unwrap();
     let spec = CampaignSpec::parse(AXES_SPEC, "axes.toml").unwrap();
     let cache = ResultCache::new();
 

@@ -11,28 +11,30 @@
 //!    failures surface as [`ScenarioError`] / [`CampaignError`] values
 //!    with partial results retained — never a panic, never a corrupt file.
 //!
-//! The fault registry and obs recorder are process-global, so every test
-//! serializes through a session lock and clears the registry on exit.
+//! Each test arms faults and records telemetry on its own thread, and
+//! the executor's workers inherit both; the last two tests check that.
 
 use llamp_engine::{
     run_campaign, run_campaign_checked, CampaignSpec, ExecutorConfig, ResultCache, ScenarioError,
 };
-use std::sync::{Mutex, OnceLock};
+use llamp_faults::Faults;
+use std::collections::BTreeSet;
 
-fn session_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
+fn arm(spec: &str) -> Faults {
+    Faults::parse(spec, 0).unwrap()
 }
 
-/// Lock the session, recovering from a poisoned mutex (a failed chaos
-/// test must not cascade into every later test).
-fn chaos_session() -> std::sync::MutexGuard<'static, ()> {
-    let guard = match session_lock().lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    llamp_faults::clear();
-    guard
+/// Arm `spec`, record, run `f`, and return its value with the handle's
+/// fired count and the recording.
+fn armed_run<T>(spec: &str, f: impl FnOnce() -> T) -> (T, u64, llamp_obs::Snapshot) {
+    let faults = arm(spec);
+    let armed = faults.install();
+    llamp_obs::enable();
+    let out = f();
+    let snap = llamp_obs::take();
+    llamp_obs::disable();
+    drop(armed);
+    (out, faults.fired_total(), snap)
 }
 
 const SPEC: &str = r#"
@@ -60,7 +62,6 @@ fn config(max_retries: u32) -> ExecutorConfig {
         threads: 1,
         job_timeout: None,
         max_retries,
-        retry_backoff_ms: 0,
     }
 }
 
@@ -72,15 +73,9 @@ fn run_bytes(max_retries: u32) -> String {
 
 #[test]
 fn solver_stall_recovery_is_byte_identical() {
-    let _g = chaos_session();
     let clean = run_bytes(0);
-    llamp_faults::configure("solve.stall:1", 0).unwrap();
-    llamp_obs::enable();
-    let faulted = run_bytes(0);
-    let snap = llamp_obs::take();
-    llamp_obs::disable();
-    assert!(llamp_faults::fired_total() >= 1, "fault never fired");
-    llamp_faults::clear();
+    let (faulted, fired, snap) = armed_run("solve.stall:1", || run_bytes(0));
+    assert!(fired >= 1, "fault never fired");
     assert_eq!(
         clean, faulted,
         "solver fallback ladder must reproduce the fault-free bytes"
@@ -98,14 +93,8 @@ fn solver_stall_recovery_is_byte_identical() {
 
 #[test]
 fn executor_panic_recovery_is_byte_identical_and_counted() {
-    let _g = chaos_session();
     let clean = run_bytes(1);
-    llamp_faults::configure("exec.job.panic:1", 0).unwrap();
-    llamp_obs::enable();
-    let faulted = run_bytes(1);
-    let snap = llamp_obs::take();
-    llamp_obs::disable();
-    llamp_faults::clear();
+    let (faulted, _, snap) = armed_run("exec.job.panic:1", || run_bytes(1));
     assert_eq!(
         clean, faulted,
         "a retried panic must reproduce the fault-free bytes"
@@ -122,7 +111,6 @@ fn executor_panic_recovery_is_byte_identical_and_counted() {
 
 #[test]
 fn torn_cache_write_quarantines_and_recomputes_identically() {
-    let _g = chaos_session();
     let dir = std::env::temp_dir().join(format!("llamp-chaos-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("cache.json");
@@ -132,9 +120,9 @@ fn torn_cache_write_quarantines_and_recomputes_identically() {
     let clean = result.to_json();
 
     // Tear the write mid-file, as a crash or full disk would.
-    llamp_faults::configure("cache.save.torn:1", 0).unwrap();
+    let armed = arm("cache.save.torn:1").install();
     cache.save(&path).unwrap();
-    llamp_faults::clear();
+    drop(armed);
 
     // Reload: the damage is detected, the file quarantined, and the run
     // recomputes from scratch to the exact same bytes.
@@ -149,12 +137,11 @@ fn torn_cache_write_quarantines_and_recomputes_identically() {
 
 #[test]
 fn unrecovered_faults_are_typed_errors_with_partial_results() {
-    let _g = chaos_session();
     // Every job panics and retries are off: nothing can recover.
-    llamp_faults::configure("exec.job.panic:0.999999", 0).unwrap();
+    let armed = arm("exec.job.panic:0.999999").install();
     let err = run_campaign_checked(&spec(), &config(0), &ResultCache::new(), 0)
         .expect_err("a blown fault budget must be an error");
-    llamp_faults::clear();
+    drop(armed);
     assert!(!err.failures.is_empty());
     for (key, cause) in &err.failures {
         assert!(!key.is_empty());
@@ -171,12 +158,11 @@ fn unrecovered_faults_are_typed_errors_with_partial_results() {
 
 #[test]
 fn fault_budget_tolerates_bounded_failures() {
-    let _g = chaos_session();
     // Exactly one job panics (count arm), retries off.
-    llamp_faults::configure("exec.job.panic:1", 0).unwrap();
+    let armed = arm("exec.job.panic:1").install();
     let (result, _) = run_campaign_checked(&spec(), &config(0), &ResultCache::new(), 1)
         .expect("one failure within a budget of one must pass");
-    llamp_faults::clear();
+    drop(armed);
     let failed = result
         .scenarios
         .iter()
@@ -185,10 +171,72 @@ fn fault_budget_tolerates_bounded_failures() {
     assert_eq!(failed, 1, "the failed slot stays a typed error");
 
     // The same single failure with a zero budget is a campaign error.
-    llamp_faults::configure("exec.job.panic:1", 0).unwrap();
+    let armed = arm("exec.job.panic:1").install();
     let err = run_campaign_checked(&spec(), &config(0), &ResultCache::new(), 0)
         .expect_err("budget 0 tolerates nothing");
-    llamp_faults::clear();
+    drop(armed);
     assert_eq!(err.failures.len(), 1);
     assert_eq!(err.fault_budget, 0);
+}
+
+#[test]
+fn concurrent_threads_see_only_their_own_faults_and_counters() {
+    let clean = run_bytes(0);
+    let both = std::sync::Barrier::new(2);
+    let (solver, parser) = std::thread::scope(|s| {
+        let solver = s.spawn(|| {
+            armed_run("solve.stall:1", || {
+                both.wait();
+                run_bytes(0)
+            })
+        });
+        let parser = s.spawn(|| {
+            armed_run("trace.parse.corrupt:1", || {
+                both.wait();
+                llamp_trace::text::parse_trace("").unwrap_err().message
+            })
+        });
+        (solver.join().unwrap(), parser.join().unwrap())
+    });
+    for (fired, snap, own, other) in [
+        (solver.1, &solver.2, "solve.stall", "trace.parse.corrupt"),
+        (parser.1, &parser.2, "trace.parse.corrupt", "solve.stall"),
+    ] {
+        let count = |k: &str| snap.counters.get(k).copied().unwrap_or(0);
+        assert_eq!(fired, 1, "{own}");
+        assert_eq!(count("fault.injected"), 1, "{own}");
+        assert_eq!(count(&format!("fault.injected.{own}")), 1);
+        assert_eq!(count(&format!("fault.injected.{other}")), 0);
+    }
+    assert_eq!(solver.0, clean);
+    assert!(parser.0.contains("injected fault"), "{}", parser.0);
+    assert!(parser.2.events.is_empty(), "no campaign spans leak in");
+}
+
+#[test]
+fn campaign_workers_fire_and_record_for_the_arming_thread() {
+    // One lp-sparse scenario on two threads: the panic fires on the
+    // executor worker, and the retried job shards its grid points across
+    // nested workers, which inherit the handle and recorder again.
+    let spec = CampaignSpec::parse(&SPEC.replace("\"parametric\", ", ""), "lp.toml").unwrap();
+    let config = ExecutorConfig {
+        threads: 2,
+        ..ExecutorConfig::default()
+    };
+    let run = || run_campaign(&spec, &config, &ResultCache::new()).0;
+    let clean = run().to_json();
+    let (faulted, fired, snap) = armed_run("exec.job.panic:1", run);
+    assert_eq!(clean, faulted.to_json(), "a retried panic changes no byte");
+    assert_eq!(fired, 1, "the fault fires on a worker");
+    assert_eq!(snap.counters.get("fault.injected.exec.job.panic"), Some(&1));
+    let lanes = |name: &str| {
+        let spans = snap.events.iter().filter(|e| e.name == name);
+        spans.map(|e| e.tid).collect::<BTreeSet<u32>>()
+    };
+    // The main thread runs the campaign; the executor worker and the
+    // point-shard workers nested in it run exec.job on lanes of their own.
+    let (campaign, jobs) = (lanes("campaign"), lanes("exec.job"));
+    assert_eq!(campaign.len(), 1);
+    assert!(jobs.len() >= 2, "exec.job lanes: {jobs:?}");
+    assert!(jobs.is_disjoint(&campaign), "exec.job runs on worker lanes");
 }

@@ -1,19 +1,9 @@
 //! The observability determinism contract (ISSUE 6): results JSON must
 //! be byte-identical with telemetry on or off, across thread counts and
 //! backends — the recorder lives strictly beside the result channel.
-//!
-//! Obs state is process-global, so every test serializes through a
-//! session lock (this test binary is its own process; `cargo test`'s
-//! threaded harness only interleaves the tests within it).
 
 use llamp_engine::value::parse_json;
 use llamp_engine::{run_campaign, CampaignSpec, ExecutorConfig, ResultCache};
-use std::sync::{Mutex, OnceLock};
-
-fn session_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
 
 const SPEC: &str = r#"
 name = "obs-itest"
@@ -36,15 +26,12 @@ fn spec() -> CampaignSpec {
 fn config(threads: usize) -> ExecutorConfig {
     ExecutorConfig {
         threads,
-        job_timeout: None,
         ..Default::default()
     }
 }
 
 #[test]
 fn results_are_byte_identical_with_tracing_on_and_off() {
-    let _guard = session_lock().lock().unwrap();
-    llamp_obs::disable();
     let off = run_campaign(&spec(), &config(1), &ResultCache::new())
         .0
         .to_json();
@@ -92,7 +79,6 @@ fn results_are_byte_identical_with_tracing_on_and_off() {
 
 #[test]
 fn chrome_trace_export_is_valid_json() {
-    let _guard = session_lock().lock().unwrap();
     llamp_obs::enable();
     run_campaign(&spec(), &config(2), &ResultCache::new());
     let snapshot = llamp_obs::take();

@@ -1,8 +1,8 @@
 #![deny(missing_docs)]
 //! # llamp-faults — deterministic fault injection
 //!
-//! A process-global registry of *fault sites*: named points in the
-//! pipeline (`cache.load.corrupt`, `solve.stall`, `exec.job.panic`,
+//! Armed *fault sites*: named points in the pipeline
+//! (`cache.load.corrupt`, `solve.stall`, `exec.job.panic`,
 //! `trace.parse.corrupt`, …) that ask [`should_inject`] whether to fail
 //! on purpose. The answer is a **pure function of (seed, site, hit
 //! index)** — no wall clock, no OS entropy — so a faulted run is exactly
@@ -29,20 +29,33 @@
 //! The optional `LLAMP_FAULTS_SEED` (u64, default 0) perturbs the
 //! probability hash; count arms ignore it.
 //!
+//! ## A handle belongs to the thread that installs it
+//!
+//! [`Faults::parse`] turns a spec into a handle and [`Faults::install`]
+//! arms it on the calling thread until the returned guard drops (also on
+//! unwind). [`should_inject`] consults only the calling thread's handle,
+//! so threads with different specs never see each other's faults. The
+//! hit and fired counters live in the handle: a count arm fires once
+//! across every thread the handle is installed on. **Every spawn site
+//! must pass the handle on**, together with the `llamp-obs` recorder:
+//! capture [`current`] before spawning and install it in the new thread,
+//! as the executor does.
+//!
 //! ## Zero overhead when off
 //!
-//! Like `llamp-obs`, every entry point first loads one relaxed atomic:
-//! with no spec configured, [`should_inject`] is a branch on a cached
-//! `false` — no lock, no allocation, no hashing. Production binaries
-//! that never call [`configure`]/[`init_from_env`] pay nothing.
+//! Like `llamp-obs`, [`should_inject`] first loads one relaxed atomic:
+//! while no thread is armed it is a branch on a cached `false` — no
+//! lock, no allocation, no hashing.
 //!
 //! Fault-site naming follows the observability scheme
 //! (`subsystem.thing[.failure]`); the canonical site list lives in
 //! `docs/ROBUSTNESS.md`. Every fired injection bumps the obs counters
 //! `fault.injected` and `fault.injected.{site}`.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// How one configured site decides whether a given hit fires.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,15 +76,22 @@ struct Site {
     fired: AtomicU64,
 }
 
-#[derive(Debug, Default)]
-struct Registry {
-    sites: Vec<Site>,
+/// A parsed fault spec with its hit and fired counters, shared by every
+/// thread it is installed on. Cloning shares the counters.
+#[derive(Debug, Clone)]
+pub struct Faults {
+    sites: Arc<[Site]>,
     seed: u64,
-    spec: String,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static REGISTRY: RwLock<Option<Registry>> = RwLock::new(None);
+/// Handles installed on some thread. Only a filter for the off path:
+/// zero means no thread is armed. `Relaxed` suffices because a thread
+/// only ever reads the handle it installed itself.
+static INSTALLED: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static CURRENT: RefCell<Option<Faults>> = const { RefCell::new(None) };
+}
 
 /// A malformed fault spec (unknown arm syntax, probability out of range).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,7 +105,7 @@ impl std::fmt::Display for FaultSpecError {
 
 impl std::error::Error for FaultSpecError {}
 
-fn parse_spec(spec: &str) -> Result<Vec<(String, Arm)>, FaultSpecError> {
+fn parse_spec(spec: &str) -> Result<Vec<Site>, FaultSpecError> {
     let mut out = Vec::new();
     for part in spec.split(',') {
         let part = part.trim();
@@ -123,88 +143,67 @@ fn parse_spec(spec: &str) -> Result<Vec<(String, Arm)>, FaultSpecError> {
             }
             Arm::Nth(n)
         };
-        out.push((site.to_string(), arm));
+        out.push(Site {
+            name: site.to_string(),
+            arm,
+            hits: AtomicU64::new(0),
+            fired: AtomicU64::new(0),
+        });
     }
     Ok(out)
 }
 
-/// Configure the registry from a spec string (see the module docs for
-/// the syntax). An empty spec disables injection, like [`clear`].
-/// Replaces any previous configuration and resets all hit counters.
-pub fn configure(spec: &str, seed: u64) -> Result<(), FaultSpecError> {
-    let parsed = parse_spec(spec)?;
-    let mut reg = REGISTRY.write().unwrap();
-    if parsed.is_empty() {
-        *reg = None;
-        ENABLED.store(false, Ordering::Release);
-        return Ok(());
+impl Faults {
+    /// Parse a spec (see the module docs for the syntax). An empty spec
+    /// arms no site.
+    pub fn parse(spec: &str, seed: u64) -> Result<Faults, FaultSpecError> {
+        let sites = parse_spec(spec)?.into();
+        Ok(Faults { sites, seed })
     }
-    *reg = Some(Registry {
-        sites: parsed
-            .into_iter()
-            .map(|(name, arm)| Site {
-                name,
-                arm,
-                hits: AtomicU64::new(0),
-                fired: AtomicU64::new(0),
-            })
-            .collect(),
-        seed,
-        spec: spec.to_string(),
-    });
-    ENABLED.store(true, Ordering::Release);
-    Ok(())
-}
 
-/// Configure from the `LLAMP_FAULTS` / `LLAMP_FAULTS_SEED` environment
-/// variables. Absent or empty `LLAMP_FAULTS` leaves injection disabled.
-pub fn init_from_env() -> Result<(), FaultSpecError> {
-    let spec = std::env::var("LLAMP_FAULTS").unwrap_or_default();
-    let seed = std::env::var("LLAMP_FAULTS_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .unwrap_or(0);
-    configure(&spec, seed)
-}
-
-/// Drop all configured sites; [`should_inject`] returns to its one-load
-/// fast path.
-pub fn clear() {
-    let mut reg = REGISTRY.write().unwrap();
-    *reg = None;
-    ENABLED.store(false, Ordering::Release);
-}
-
-/// Whether any fault site is configured (one relaxed atomic load).
-#[inline]
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// The spec string currently in force, if any.
-pub fn active_spec() -> Option<String> {
-    if !is_enabled() {
-        return None;
+    /// Parse the `LLAMP_FAULTS` / `LLAMP_FAULTS_SEED` environment
+    /// variables. `None` when `LLAMP_FAULTS` is absent or arms no site.
+    pub fn from_env() -> Result<Option<Faults>, FaultSpecError> {
+        let spec = std::env::var("LLAMP_FAULTS").unwrap_or_default();
+        let seed = std::env::var("LLAMP_FAULTS_SEED")
+            .ok()
+            .and_then(|s| s.trim().parse::<u64>().ok())
+            .unwrap_or(0);
+        let faults = Faults::parse(&spec, seed)?;
+        Ok((!faults.sites.is_empty()).then_some(faults))
     }
-    REGISTRY.read().unwrap().as_ref().map(|r| r.spec.clone())
+
+    /// Arm this handle on the calling thread until the guard drops.
+    pub fn install(&self) -> FaultsGuard {
+        INSTALLED.fetch_add(1, Ordering::Relaxed);
+        FaultsGuard(CURRENT.with(|c| c.replace(Some(self.clone()))), PhantomData)
+    }
+
+    /// Total faults fired across all sites, on every thread the handle
+    /// is installed on.
+    pub fn fired_total(&self) -> u64 {
+        self.sites
+            .iter()
+            .map(|s| s.fired.load(Ordering::Relaxed))
+            .sum()
+    }
 }
 
-/// Total faults fired across all sites since configuration.
-pub fn fired_total() -> u64 {
-    if !is_enabled() {
-        return 0;
+/// Restores the thread's previous handle on drop ([`Faults::install`]).
+#[must_use = "the handle is uninstalled when the guard drops"]
+pub struct FaultsGuard(Option<Faults>, PhantomData<*const ()>);
+
+impl Drop for FaultsGuard {
+    fn drop(&mut self) {
+        let prev = self.0.take();
+        let _ = CURRENT.try_with(|c| c.replace(prev));
+        INSTALLED.fetch_sub(1, Ordering::Relaxed);
     }
-    REGISTRY
-        .read()
-        .unwrap()
-        .as_ref()
-        .map(|r| {
-            r.sites
-                .iter()
-                .map(|s| s.fired.load(Ordering::Relaxed))
-                .sum()
-        })
-        .unwrap_or(0)
+}
+
+/// The handle of the calling thread, for a spawn site to pass on.
+pub fn current() -> Option<Faults> {
+    CURRENT.with(|c| c.borrow().clone())
 }
 
 /// splitmix64: the counter-based generator behind probability arms.
@@ -233,7 +232,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// as if the fault the site names had just happened".
 #[inline]
 pub fn should_inject(site: &str) -> bool {
-    if !is_enabled() {
+    if INSTALLED.load(Ordering::Relaxed) == 0 {
         return false;
     }
     should_inject_slow(site)
@@ -241,11 +240,10 @@ pub fn should_inject(site: &str) -> bool {
 
 #[cold]
 fn should_inject_slow(site: &str) -> bool {
-    let reg = REGISTRY.read().unwrap();
-    let Some(reg) = reg.as_ref() else {
+    let Some(faults) = current() else {
         return false;
     };
-    let Some(s) = reg.sites.iter().find(|s| s.name == site) else {
+    let Some(s) = faults.sites.iter().find(|s| s.name == site) else {
         return false;
     };
     let hit = s.hits.fetch_add(1, Ordering::Relaxed) + 1;
@@ -253,7 +251,7 @@ fn should_inject_slow(site: &str) -> bool {
         Arm::Nth(n) => hit == n,
         Arm::Prob(p) => {
             let h = splitmix64(
-                reg.seed ^ fnv1a(site.as_bytes()) ^ hit.wrapping_mul(0x2545_F491_4F6C_DD1D),
+                faults.seed ^ fnv1a(site.as_bytes()) ^ hit.wrapping_mul(0x2545_F491_4F6C_DD1D),
             );
             // Map the top 53 bits to a unit float, same construction as
             // rand's `Open01`.
@@ -274,86 +272,91 @@ fn should_inject_slow(site: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
-    // The registry is process-global; unit tests serialize on this lock
-    // so `cargo test` parallelism cannot interleave configurations.
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    fn session() -> std::sync::MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    fn arm(spec: &str, seed: u64) -> Faults {
+        Faults::parse(spec, seed).unwrap()
     }
 
     #[test]
     fn disabled_is_the_default_and_never_fires() {
-        let _g = session();
-        clear();
-        assert!(!is_enabled());
+        assert!(current().is_none());
         assert!(!should_inject("solve.stall"));
-        assert_eq!(active_spec(), None);
     }
 
     #[test]
     fn count_arm_fires_exactly_on_the_nth_hit() {
-        let _g = session();
-        configure("solve.stall:3", 0).unwrap();
+        let f = arm("solve.stall:3", 0);
+        let _g = f.install();
         assert!(!should_inject("solve.stall"));
         assert!(!should_inject("solve.stall"));
         assert!(should_inject("solve.stall"));
         assert!(!should_inject("solve.stall"));
         assert!(!should_inject("solve.stall"));
-        assert_eq!(fired_total(), 1);
+        assert_eq!(f.fired_total(), 1);
         // Unconfigured sites never fire even while enabled.
         assert!(!should_inject("cache.load.corrupt"));
-        clear();
     }
 
     #[test]
     fn probability_arm_is_deterministic_in_seed_and_hit_index() {
-        let _g = session();
-        configure("exec.job.panic:0.5", 42).unwrap();
-        let a: Vec<bool> = (0..64).map(|_| should_inject("exec.job.panic")).collect();
-        configure("exec.job.panic:0.5", 42).unwrap();
-        let b: Vec<bool> = (0..64).map(|_| should_inject("exec.job.panic")).collect();
+        let pattern = |seed| {
+            let _g = arm("exec.job.panic:0.5", seed).install();
+            (0..64)
+                .map(|_| should_inject("exec.job.panic"))
+                .collect::<Vec<bool>>()
+        };
+        let a = pattern(42);
+        let b = pattern(42);
         assert_eq!(a, b, "same seed + hit index must decide identically");
         assert!(a.iter().any(|&x| x) && a.iter().any(|&x| !x));
         // A different seed gives a different firing pattern.
-        configure("exec.job.panic:0.5", 43).unwrap();
-        let c: Vec<bool> = (0..64).map(|_| should_inject("exec.job.panic")).collect();
-        assert_ne!(a, c);
-        clear();
+        assert_ne!(a, pattern(43));
     }
 
     #[test]
     fn multi_site_specs_parse_and_route() {
-        let _g = session();
-        configure("a.b:1, c.d.e:0.0", 7).unwrap();
-        assert_eq!(active_spec().as_deref(), Some("a.b:1, c.d.e:0.0"));
+        let f = arm("a.b:1, c.d.e:0.0", 7);
+        assert_eq!(f.sites.len(), 2);
+        let _g = f.install();
         assert!(should_inject("a.b"));
         assert!(!should_inject("c.d.e")); // p = 0.0 never fires
-        clear();
     }
 
     #[test]
     fn malformed_specs_are_rejected() {
-        let _g = session();
         for bad in ["solve.stall", "x:", "x:abc", "x:1.5", "x:-0.1", "x:0", ":3"] {
-            assert!(configure(bad, 0).is_err(), "{bad} should be rejected");
+            assert!(Faults::parse(bad, 0).is_err(), "{bad} should be rejected");
         }
-        // A failed configure leaves the previous configuration in force,
-        // never a half-applied one.
-        assert!(configure("ok.site:1", 0).is_ok());
-        assert!(configure("broken", 0).is_err());
-        assert_eq!(active_spec().as_deref(), Some("ok.site:1"));
-        clear();
+        // A failed parse leaves the installed handle in force, never a
+        // half-applied one.
+        let _g = arm("ok.site:1", 0).install();
+        assert!(Faults::parse("broken", 0).is_err());
+        assert!(should_inject("ok.site"));
     }
 
     #[test]
     fn empty_spec_disables() {
-        let _g = session();
-        configure("a:1", 0).unwrap();
-        assert!(is_enabled());
-        configure("", 0).unwrap();
-        assert!(!is_enabled());
+        let f = arm("", 0);
+        let _g = f.install();
+        assert!(!should_inject("a"));
+        assert_eq!(f.fired_total(), 0);
+    }
+
+    #[test]
+    fn guards_restore_the_previous_handle_also_on_unwind() {
+        let outer = arm("a:1", 0);
+        let _g = outer.install();
+        let unwound = std::panic::catch_unwind(|| {
+            let _inner = arm("b:1", 0).install();
+            assert!(should_inject("b"));
+            panic!("unwind past the guard");
+        });
+        assert!(unwound.is_err());
+        // A thread the handle is not passed to is not armed.
+        std::thread::scope(|s| {
+            s.spawn(|| assert!(!should_inject("a")));
+        });
+        assert!(should_inject("a"));
+        assert_eq!(outer.fired_total(), 1);
     }
 }

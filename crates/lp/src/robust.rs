@@ -88,6 +88,44 @@ mod tests {
     }
 
     #[test]
+    fn injected_stall_recovers_byte_identical() {
+        // Fire `solve.stall` on the first hit: rung 1 aborts with the typed
+        // injected error, rung 2 re-solves cold (the counter has passed its
+        // mark, so no re-fire) and must reproduce the no-fault answer
+        // bit-for-bit.
+        let (m, l) = running_example(0.5);
+        let clean = SparseSimplex::default().solve(&m).unwrap();
+
+        let armed = llamp_faults::Faults::parse("solve.stall:1", 0)
+            .unwrap()
+            .install();
+        let mut b = SparseSimplex::default();
+        let sol = resolve_robust(&mut b, &m, None).unwrap();
+        drop(armed);
+
+        assert_eq!(sol.objective().to_bits(), clean.objective().to_bits());
+        assert_eq!(
+            sol.reduced_cost(l).to_bits(),
+            clean.reduced_cost(l).to_bits()
+        );
+        assert_eq!(sol.basis(), clean.basis());
+    }
+
+    #[test]
+    fn exhausted_ladder_reports_the_first_error() {
+        // A stall probability of ~1 fails both rungs; the caller sees the
+        // rung-1 error, typed, never a panic.
+        let armed = llamp_faults::Faults::parse("solve.stall:0.99999", 7)
+            .unwrap()
+            .install();
+        let (m, _) = running_example(0.5);
+        let mut b = SparseSimplex::default();
+        let err = resolve_robust(&mut b, &m, None).unwrap_err();
+        drop(armed);
+        assert_eq!(err, SolveError::Injected);
+    }
+
+    #[test]
     fn unrecoverable_errors_skip_the_ladder() {
         // An infeasible model must come back infeasible immediately, not
         // after burning an extra solve.

@@ -7,27 +7,36 @@
 //! primitives:
 //!
 //! * **spans** — hierarchical timed regions with structured key/value
-//!   fields, opened with [`span()`] (or the [`span!`] macro) and closed by
-//!   RAII guard drop. Per-thread buffers collect closed spans and drain
-//!   into the global recorder whenever a thread's root span closes, so
-//!   workers never contend mid-task.
-//! * **metrics** — monotonic [`counter`]s, last-write-wins [`gauge`]s and
-//!   HDR-style log-bucketed [`Histogram`]s ([`observe_ns`] / [`time`])
-//!   in a thread-safe registry.
+//!   fields, opened with [`span()`] and closed by RAII guard drop.
+//!   Per-thread buffers collect closed spans and drain into the thread's
+//!   [`Recorder`] whenever its root span closes, so workers never
+//!   contend mid-task.
+//! * **metrics** — monotonic [`counter`]s and HDR-style log-bucketed
+//!   [`Histogram`]s ([`observe_ns`] / [`time`]) in the recorder's
+//!   thread-safe registry.
 //! * **exporters** — [`take`] drains everything into a [`Snapshot`],
 //!   which renders as a human-readable aggregate tree
 //!   ([`Summary::render`]) or a `chrome://tracing` JSON file
 //!   ([`Snapshot::chrome_trace_json`]).
 //!
+//! ## A recorder belongs to the thread that installs it
+//!
+//! [`enable`] installs a fresh recorder on the calling thread, [`take`]
+//! drains it and [`disable`] uninstalls it; threads never see each
+//! other's recordings. **Every spawn site must pass the recorder on**,
+//! together with the `llamp-faults` handle: capture [`current`] before
+//! spawning and [`Recorder::install`] it in the new thread, as the
+//! executor and the partitioned reduction do.
+//!
 //! ## The off switch is the design
 //!
-//! Recording is globally disabled by default. Every entry point loads
-//! one relaxed atomic and returns: no clock read, no allocation, no
-//! lock. [`span()`] returns an inert guard, [`counter`]/[`observe_ns`]
-//! return before touching the registry, and [`time`] runs its closure
-//! untimed. The LP crate's counting-allocator harness
-//! (`crates/lp/tests/alloc_count.rs`) certifies that the instrumented
-//! simplex hot loop stays zero-allocation with recording off.
+//! While no thread records, every entry point loads one relaxed atomic
+//! and returns: no clock read, no allocation, no lock. [`span()`]
+//! returns an inert guard, [`counter`]/[`observe_ns`] return before
+//! touching the registry, and [`time`] runs its closure untimed. The LP
+//! crate's counting-allocator harness (`crates/lp/tests/alloc_count.rs`)
+//! certifies that the instrumented simplex hot loop stays
+//! zero-allocation with recording off.
 //!
 //! ## Determinism contract
 //!
@@ -62,9 +71,9 @@ pub use hist::{Histogram, HistogramSummary};
 pub use report::{Snapshot, SpanAgg, SpanEvent, Summary};
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// A structured span field value.
@@ -79,14 +88,13 @@ pub enum FieldValue {
 }
 
 // ---------------------------------------------------------------------
-// Global recorder state.
+// Recorders, installed per thread.
 // ---------------------------------------------------------------------
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-/// Bumped by `enable()`; thread-local buffers from an older generation
-/// are discarded on first use instead of leaking stale frames in.
-static GENERATION: AtomicU32 = AtomicU32::new(0);
-static NEXT_TID: AtomicU32 = AtomicU32::new(1);
+/// Recorders installed on some thread. Only a filter for the off path:
+/// zero means no thread records. `Relaxed` suffices because a thread
+/// only ever reads recorder state it installed itself.
+static INSTALLED: AtomicUsize = AtomicUsize::new(0);
 
 /// Epoch for all timestamps. Set once per process so Chrome-trace
 /// timestamps stay monotone across enable/disable cycles.
@@ -99,17 +107,16 @@ fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
-#[derive(Default)]
-struct Sink {
-    events: Vec<SpanEvent>,
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    hists: BTreeMap<String, Histogram>,
-}
+/// A recording: the sink that spans and metrics drain into, shared by
+/// every thread it is installed on, and the counter that gives each of
+/// those threads its own lane.
+#[derive(Clone)]
+pub struct Recorder(Arc<Shared>);
 
-fn sink() -> &'static Mutex<Sink> {
-    static SINK: OnceLock<Mutex<Sink>> = OnceLock::new();
-    SINK.get_or_init(|| Mutex::new(Sink::default()))
+#[derive(Default)]
+struct Shared {
+    sink: Mutex<Snapshot>,
+    lanes: AtomicU32,
 }
 
 struct OpenFrame {
@@ -119,68 +126,115 @@ struct OpenFrame {
     fields: Vec<(&'static str, FieldValue)>,
 }
 
-struct ThreadBuf {
-    generation: u32,
+/// A recorder as installed on one thread, with the thread's lane and
+/// span buffer.
+struct Local {
+    rec: Recorder,
     tid: u32,
     stack: Vec<OpenFrame>,
     done: Vec<SpanEvent>,
 }
 
-thread_local! {
-    static LOCAL: RefCell<ThreadBuf> = const {
-        RefCell::new(ThreadBuf {
-            generation: 0,
-            tid: 0,
+impl Local {
+    fn new(rec: Recorder) -> Self {
+        INSTALLED.fetch_add(1, Ordering::Relaxed);
+        let tid = rec.0.lanes.fetch_add(1, Ordering::Relaxed) + 1;
+        Local {
+            rec,
+            tid,
             stack: Vec::new(),
             done: Vec::new(),
-        })
-    };
-}
-
-/// Turn recording on (clearing anything a previous session left behind).
-pub fn enable() {
-    {
-        let mut s = sink().lock().expect("obs sink");
-        *s = Sink::default();
+        }
     }
-    GENERATION.fetch_add(1, Ordering::Relaxed);
-    ENABLED.store(true, Ordering::Relaxed);
+
+    /// Also runs in `drop`, which must not panic: a poisoned sink loses
+    /// the spans.
+    fn flush(&mut self) {
+        if let Ok(mut sink) = self.rec.0.sink.lock() {
+            sink.events.append(&mut self.done);
+        }
+    }
 }
 
-/// Turn recording off. Spans still open keep unwinding their stacks
-/// correctly; they are simply no longer exported.
+impl Drop for Local {
+    fn drop(&mut self) {
+        self.flush();
+        INSTALLED.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+thread_local! {
+    static LOCAL: RefCell<Option<Local>> = const { RefCell::new(None) };
+}
+
+/// Start recording on the calling thread into a fresh recorder.
+pub fn enable() {
+    let fresh = Local::new(Recorder(Arc::default()));
+    LOCAL.with(|l| l.replace(Some(fresh)));
+}
+
+/// Stop recording on the calling thread. Spans still open keep
+/// unwinding their stacks correctly; they are simply no longer exported.
 pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
+    LOCAL.with(RefCell::take);
 }
 
-/// Whether recording is on. The single branch every instrumentation
-/// point pays when telemetry is off.
+/// Whether the calling thread records. The single branch every
+/// instrumentation point pays when no thread records.
 #[inline(always)]
 pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    INSTALLED.load(Ordering::Relaxed) != 0 && LOCAL.with(|l| l.borrow().is_some())
 }
 
-/// Drain everything recorded since [`enable`] into a [`Snapshot`]
-/// (flushing the calling thread's buffer first; worker threads flush
-/// when their root spans close).
+/// The recorder of the calling thread, for a spawn site to pass on.
+pub fn current() -> Option<Recorder> {
+    LOCAL.with(|l| Some(l.borrow().as_ref()?.rec.clone()))
+}
+
+impl Recorder {
+    /// Record into this recorder on the calling thread, on a lane of its
+    /// own, until the guard drops (also on unwind); the drop flushes the
+    /// thread's closed spans and restores its previous recorder.
+    pub fn install(&self) -> RecorderGuard {
+        let fresh = Local::new(self.clone());
+        RecorderGuard(LOCAL.with(|l| l.replace(Some(fresh))), PhantomData)
+    }
+
+    fn sink(&self) -> MutexGuard<'_, Snapshot> {
+        self.0.sink.lock().expect("obs sink")
+    }
+}
+
+/// Restores the thread's previous recorder on drop ([`Recorder::install`]).
+#[must_use = "the recorder is uninstalled when the guard drops"]
+pub struct RecorderGuard(Option<Local>, PhantomData<*const ()>);
+
+impl Drop for RecorderGuard {
+    fn drop(&mut self) {
+        let prev = self.0.take();
+        let _ = LOCAL.try_with(|l| l.replace(prev));
+    }
+}
+
+/// Drain everything the calling thread's recorder collected since
+/// [`enable`] into a [`Snapshot`] (flushing the calling thread's buffer
+/// first; worker threads flush when their root spans close).
 pub fn take() -> Snapshot {
-    LOCAL.with(|l| flush_local(&mut l.borrow_mut()));
-    let mut s = sink().lock().expect("obs sink");
-    let s = std::mem::take(&mut *s);
-    Snapshot {
-        events: s.events,
-        counters: s.counters,
-        gauges: s.gauges,
-        hists: s.hists,
-    }
+    LOCAL.with(|l| match l.borrow_mut().as_mut() {
+        Some(local) => {
+            local.flush();
+            std::mem::take(&mut *local.rec.sink())
+        }
+        None => Snapshot::default(),
+    })
 }
 
-fn flush_local(buf: &mut ThreadBuf) {
-    if buf.done.is_empty() {
-        return;
+/// Run `f` on the calling thread's sink, if it records.
+#[inline]
+fn with_sink(f: impl FnOnce(&mut Snapshot)) {
+    if INSTALLED.load(Ordering::Relaxed) != 0 {
+        LOCAL.with(|l| l.borrow().as_ref().map(|local| f(&mut local.rec.sink())));
     }
-    let mut s = sink().lock().expect("obs sink");
-    s.events.append(&mut buf.done);
 }
 
 // ---------------------------------------------------------------------
@@ -188,8 +242,8 @@ fn flush_local(buf: &mut ThreadBuf) {
 // ---------------------------------------------------------------------
 
 /// RAII guard for one open span. Dropping it closes the span and, if it
-/// was the thread's root span, drains the thread buffer into the global
-/// recorder.
+/// was the thread's root span, drains the thread buffer into the
+/// thread's recorder.
 #[must_use = "a span measures the scope of its guard; bind it with `let`"]
 pub struct SpanGuard {
     /// Depth of this guard's frame (0 = inert guard, recording off).
@@ -200,34 +254,19 @@ pub struct SpanGuard {
 /// guard — no clock read, no allocation.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    if !is_enabled() {
+    if INSTALLED.load(Ordering::Relaxed) == 0 {
         return SpanGuard { depth: 0 };
     }
     span_slow(name)
 }
 
-/// Open a span (macro form, mirroring the function; both compile to
-/// near-nothing when recording is off).
-#[macro_export]
-macro_rules! span {
-    ($name:literal) => {
-        $crate::span($name)
-    };
-}
-
 #[cold]
 fn span_slow(name: &'static str) -> SpanGuard {
     LOCAL.with(|l| {
-        let mut buf = l.borrow_mut();
-        let generation = GENERATION.load(Ordering::Relaxed);
-        if buf.generation != generation {
-            // A new recording session started since this thread last
-            // recorded: drop stale state, assign a fresh lane.
-            buf.generation = generation;
-            buf.stack.clear();
-            buf.done.clear();
-            buf.tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-        }
+        let mut l = l.borrow_mut();
+        let Some(buf) = l.as_mut() else {
+            return SpanGuard { depth: 0 };
+        };
         let path = match buf.stack.last() {
             Some(parent) => format!("{}/{}", parent.path, name),
             None => name.to_string(),
@@ -251,9 +290,9 @@ impl SpanGuard {
             return;
         }
         LOCAL.with(|l| {
-            let mut buf = l.borrow_mut();
-            // The frame may be gone if a new session started mid-span.
-            if let Some(frame) = buf.stack.get_mut(self.depth - 1) {
+            // The frame is gone if the recorder was uninstalled mid-span.
+            let mut l = l.borrow_mut();
+            if let Some(frame) = l.as_mut().and_then(|b| b.stack.get_mut(self.depth - 1)) {
                 f(frame);
             }
         });
@@ -289,7 +328,10 @@ impl Drop for SpanGuard {
         }
         let end = now_ns();
         LOCAL.with(|l| {
-            let mut buf = l.borrow_mut();
+            let mut l = l.borrow_mut();
+            let Some(buf) = l.as_mut() else {
+                return;
+            };
             // Guards drop LIFO; anything deeper was leaked by a panic
             // unwinding past its scope — discard those frames silently.
             while buf.stack.len() >= self.depth {
@@ -307,7 +349,7 @@ impl Drop for SpanGuard {
                 }
             }
             if buf.stack.is_empty() {
-                flush_local(&mut buf);
+                buf.flush();
             }
         });
     }
@@ -320,49 +362,26 @@ impl Drop for SpanGuard {
 /// Add `delta` to the named monotonic counter.
 #[inline]
 pub fn counter(name: &str, delta: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let mut s = sink().lock().expect("obs sink");
-    match s.counters.get_mut(name) {
+    with_sink(|s| match s.counters.get_mut(name) {
         Some(v) => *v += delta,
         None => {
             s.counters.insert(name.to_string(), delta);
         }
-    }
-}
-
-/// Set the named gauge (last write wins).
-#[inline]
-pub fn gauge(name: &str, value: f64) {
-    if !is_enabled() {
-        return;
-    }
-    let mut s = sink().lock().expect("obs sink");
-    match s.gauges.get_mut(name) {
-        Some(v) => *v = value,
-        None => {
-            s.gauges.insert(name.to_string(), value);
-        }
-    }
+    });
 }
 
 /// Record one sample (nanoseconds, by convention) into the named
 /// histogram.
 #[inline]
 pub fn observe_ns(name: &str, ns: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let mut s = sink().lock().expect("obs sink");
-    match s.hists.get_mut(name) {
+    with_sink(|s| match s.hists.get_mut(name) {
         Some(h) => h.record(ns),
         None => {
             let mut h = Histogram::new();
             h.record(ns);
             s.hists.insert(name.to_string(), h);
         }
-    }
+    });
 }
 
 /// Time a closure into the named histogram. With recording off the
@@ -381,36 +400,23 @@ pub fn time<T>(name: &str, f: impl FnOnce() -> T) -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
-
-    /// Obs state is process-global; unit tests touching it serialize
-    /// through this lock so `cargo test`'s threaded harness cannot
-    /// interleave sessions.
-    fn session_lock() -> &'static StdMutex<()> {
-        static LOCK: OnceLock<StdMutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| StdMutex::new(()))
-    }
 
     #[test]
     fn disabled_records_nothing() {
-        let _guard = session_lock().lock().unwrap();
         disable();
         let s = span("nothing");
         s.field_u64("n", 1);
         drop(s);
         counter("c", 1);
         observe_ns("h", 5);
-        gauge("g", 1.0);
         let snap = take();
         assert!(snap.events.is_empty());
         assert!(snap.counters.is_empty());
         assert!(snap.hists.is_empty());
-        assert!(snap.gauges.is_empty());
     }
 
     #[test]
     fn nesting_builds_paths_and_flushes_at_root_close() {
-        let _guard = session_lock().lock().unwrap();
         enable();
         {
             let outer = span("outer");
@@ -435,32 +441,35 @@ mod tests {
 
     #[test]
     fn metrics_accumulate() {
-        let _guard = session_lock().lock().unwrap();
         enable();
         counter("jobs", 2);
         counter("jobs", 3);
-        gauge("g", 1.0);
-        gauge("g", 4.0);
         observe_ns("lat", 100);
         observe_ns("lat", 200);
         let snap = take();
         disable();
         assert_eq!(snap.counters.get("jobs"), Some(&5));
-        assert_eq!(snap.gauges.get("g"), Some(&4.0));
         assert_eq!(snap.hists.get("lat").unwrap().count(), 2);
     }
 
     #[test]
     fn cross_thread_spans_land_on_distinct_lanes() {
-        let _guard = session_lock().lock().unwrap();
         enable();
         let main_span = span("main");
+        let rec = current().expect("enabled");
         std::thread::scope(|scope| {
             for _ in 0..2 {
                 scope.spawn(|| {
+                    let _r = rec.install();
                     let _s = span("worker");
                 });
             }
+            // A thread the recorder is not passed to records nothing.
+            scope.spawn(|| {
+                assert!(!is_enabled());
+                let _s = span("stray");
+                counter("stray", 1);
+            });
         });
         drop(main_span);
         let snap = take();
@@ -470,11 +479,11 @@ mod tests {
         tids.sort_unstable();
         tids.dedup();
         assert_eq!(tids.len(), 3, "each thread gets its own lane");
+        assert!(snap.counters.is_empty());
     }
 
     #[test]
     fn time_feeds_histogram_only_when_enabled() {
-        let _guard = session_lock().lock().unwrap();
         disable();
         assert_eq!(time("t", || 41) + 1, 42);
         assert!(take().hists.is_empty());

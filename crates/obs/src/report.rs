@@ -11,7 +11,7 @@
 //! * [`Snapshot::summary`] → [`Summary::render`] — the human-readable
 //!   aggregate tree `llamp run --metrics` prints: spans grouped by call
 //!   path with counts, totals and numeric-field sums, followed by the
-//!   counters, gauges and histogram quantiles.
+//!   counters and histogram quantiles.
 
 use crate::hist::{Histogram, HistogramSummary};
 use crate::FieldValue;
@@ -42,8 +42,6 @@ pub struct Snapshot {
     pub events: Vec<SpanEvent>,
     /// Monotonic counters.
     pub counters: BTreeMap<String, u64>,
-    /// Last-write-wins gauges.
-    pub gauges: BTreeMap<String, f64>,
     /// Value distributions.
     pub hists: BTreeMap<String, Histogram>,
 }
@@ -79,8 +77,6 @@ pub struct Summary {
     pub spans: Vec<SpanAgg>,
     /// Counters, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Gauges, sorted by name.
-    pub gauges: Vec<(String, f64)>,
     /// Histogram summaries, sorted by name.
     pub hists: Vec<(String, HistogramSummary)>,
 }
@@ -115,7 +111,6 @@ impl Snapshot {
         Summary {
             spans: rows.into_values().collect(),
             counters: self.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            gauges: self.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
             hists: self
                 .hists
                 .iter()
@@ -234,10 +229,7 @@ fn fmt_ns(ns: u64) -> String {
 impl Summary {
     /// True when nothing was recorded at all.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-            && self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.hists.is_empty()
+        self.spans.is_empty() && self.counters.is_empty() && self.hists.is_empty()
     }
 
     /// The human-readable metrics block (`llamp run --metrics`).
@@ -281,12 +273,6 @@ impl Summary {
             out.push_str(&format!("{:<44} {:>7}\n", "counter", "value"));
             for (k, v) in &self.counters {
                 out.push_str(&format!("{k:<44} {v:>7}\n"));
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str(&format!("{:<44} {:>7}\n", "gauge", "value"));
-            for (k, v) in &self.gauges {
-                out.push_str(&format!("{k:<44} {v:>7.3}\n"));
             }
         }
         if !self.hists.is_empty() {

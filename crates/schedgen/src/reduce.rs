@@ -511,10 +511,14 @@ fn reduce_partitioned(g: &ExecGraph, cfg: &ReduceConfig) -> ReducedGraph {
         }
     } else {
         let chunk = nranks.div_ceil(workers);
+        // The workers record into the caller's recorder; they reach no
+        // fault site, so the faults handle stays behind.
+        let recorder = &llamp_obs::current();
         std::thread::scope(|s| {
             for (ci, slice) in outs.chunks_mut(chunk).enumerate() {
                 let reduce_region = &reduce_region;
                 s.spawn(move || {
+                    let _recorder = recorder.as_ref().map(llamp_obs::Recorder::install);
                     let g = llamp_obs::span("reduce.par.worker");
                     for (i, slot) in slice.iter_mut().enumerate() {
                         *slot = Some(reduce_region(ci * chunk + i));

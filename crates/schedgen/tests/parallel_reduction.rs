@@ -139,6 +139,30 @@ fn partitioned_cfg(threads: usize) -> ReduceConfig {
     }
 }
 
+/// The reduce workers record into the caller's recorder: one
+/// `reduce.par.worker` span per worker, each on a lane of its own.
+#[test]
+fn partitioned_reduction_workers_reach_the_recording() {
+    let g = RandomDag {
+        nranks: 4,
+        layers: 3,
+        costs: vec![100.0; 12],
+        skips: vec![],
+        crossings: vec![(0, 0, 1, 1, 64), (2, 1, 3, 2, 128)],
+    }
+    .build();
+    llamp_obs::enable();
+    let _ = reduce(&g, &partitioned_cfg(4));
+    let snap = llamp_obs::take();
+    llamp_obs::disable();
+    let worker = snap.events.iter().filter(|e| e.name == "reduce.par.worker");
+    let mut lanes: Vec<u32> = worker.map(|e| e.tid).collect();
+    assert_eq!(lanes.len(), 4, "one reduce.par.worker span per worker");
+    lanes.sort_unstable();
+    lanes.dedup();
+    assert_eq!(lanes.len(), 4, "each worker records on its own lane");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

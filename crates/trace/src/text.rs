@@ -488,6 +488,26 @@ mod tests {
         let back = parse_trace(&write_trace(&tr)).unwrap();
         assert_eq!(tr, back);
     }
+
+    #[test]
+    fn injected_corruption_is_a_typed_error() {
+        let text = write_trace(
+            &ProgramSet::spmd(1, |_, b| {
+                b.comp(10.0);
+                b.barrier();
+            })
+            .trace(&TracerConfig::default()),
+        );
+        let armed = llamp_faults::Faults::parse("trace.parse.corrupt:1", 7)
+            .unwrap()
+            .install();
+        let e = parse_trace(&text).unwrap_err();
+        assert!(e.message.contains("injected fault"));
+        // One-shot count arm: the parser works again without reconfiguration.
+        assert!(parse_trace(&text).is_ok());
+        drop(armed);
+        assert!(parse_trace(&text).is_ok());
+    }
 }
 
 #[cfg(test)]
