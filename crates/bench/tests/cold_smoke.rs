@@ -7,11 +7,13 @@
 //! the optimality pricing pass (the ISSUE 3 topological heuristic needed
 //! ~35, the PR 2 all-logical start 535) — so a pricing or crash
 //! regression shows up as an order-of-magnitude jump long before the
-//! wall budget trips. `anchor_scaling.rs` is the same tripwire at the
-//! 32k-row scaled shape.
+//! wall budget trips. The crash certifies the anchor without a single
+//! FTRAN, so the answer itself is checked instead: it must equal direct
+//! evaluation at the same latency. `anchor_scaling.rs` is the same
+//! tripwire at the 32k-row scaled shape.
 
 use llamp_bench::graph_of;
-use llamp_core::{Binding, GraphLp};
+use llamp_core::{Analyzer, Binding, GraphLp, ReduceConfig};
 use llamp_model::LogGPSParams;
 use llamp_util::time::us;
 use llamp_workloads::App;
@@ -49,7 +51,16 @@ fn lulesh_cold_anchor_stays_cheap() {
         elapsed <= WALL_BUDGET_S,
         "cold anchor took {elapsed:.3}s (budget {WALL_BUDGET_S}s)"
     );
-    // The anchor is a real solve with real work behind it.
-    let stats = lp.solver_stats();
-    assert!(stats.ftran_calls > 0 && stats.iterations == anchor.iterations);
+    assert_eq!(lp.solver_stats().iterations, anchor.iterations);
+    // The certified anchor is the right answer: the same graph evaluated
+    // directly at the same latency gives the same runtime and slope.
+    let eval = Analyzer::new_with_config(&graph, &params, &ReduceConfig::none()).evaluate(params.l);
+    let rel = (anchor.runtime - eval.runtime).abs() / eval.runtime.abs().max(1.0);
+    assert!(
+        rel <= 1e-9,
+        "anchor runtime {} vs evaluate {} (rel {rel:.2e})",
+        anchor.runtime,
+        eval.runtime
+    );
+    assert_eq!(anchor.lambda, eval.lambda, "anchor λ vs evaluate λ");
 }
