@@ -12,6 +12,7 @@ use crate::lp_build::GraphLp;
 use crate::parametric::ParametricProfile;
 use llamp_model::LogGPSParams;
 use llamp_schedgen::{ExecGraph, ReduceConfig, ReducedGraph, ReductionStats};
+use std::sync::Arc;
 
 /// The x% latency-tolerance triple the paper highlights (green / orange /
 /// red zones of Fig. 1).
@@ -45,9 +46,11 @@ pub struct SweepPoint {
 pub const SOLVER_NAME: &str = "sparse";
 
 /// Analysis driver for one execution graph under one network binding.
+/// The reduced graph is shared: analyzers that differ only in their
+/// binding (topology, parameters) can answer from one graph.
 #[derive(Debug, Clone)]
 pub struct Analyzer {
-    graph: ReducedGraph,
+    graph: Arc<ReducedGraph>,
     binding: Binding,
     base_l: f64,
 }
@@ -83,8 +86,14 @@ impl Analyzer {
         base_l: f64,
         cfg: &ReduceConfig,
     ) -> Self {
+        Self::from_reduced(Arc::new(graph.reduced(cfg)), binding, base_l)
+    }
+
+    /// Analyse an already reduced graph under `binding`. The reduction
+    /// never reads the binding, so one graph can back many analyzers.
+    pub fn from_reduced(graph: Arc<ReducedGraph>, binding: Binding, base_l: f64) -> Self {
         Self {
-            graph: graph.reduced(cfg),
+            graph,
             binding,
             base_l,
         }
@@ -124,7 +133,7 @@ impl Analyzer {
 
     /// Fast runtime/λ/critical-path evaluation at one latency value.
     pub fn evaluate(&self, l: f64) -> Evaluation {
-        evaluate(&self.graph, &self.binding, l)
+        evaluate(&*self.graph, &self.binding, l)
     }
 
     /// Predicted runtime at the base latency.
@@ -134,7 +143,7 @@ impl Analyzer {
 
     /// Build the LP form (Algorithm 1) for solver-based queries.
     pub fn lp(&self) -> GraphLp {
-        GraphLp::build(&self.graph, &self.binding)
+        GraphLp::build(&*self.graph, &self.binding)
     }
 
     /// [`Analyzer::lp`] for callers that carry a solver name: `"sparse"`
@@ -164,7 +173,7 @@ impl Analyzer {
     /// Build the multi-parameter LP (symbolic `L`, `G`, `o`; see
     /// [`crate::multi_lp::GraphMultiLp`]).
     pub fn multi_lp(&self) -> crate::multi_lp::GraphMultiLp {
-        crate::multi_lp::GraphMultiLp::build(&self.graph, &self.binding)
+        crate::multi_lp::GraphMultiLp::build(&*self.graph, &self.binding)
     }
 
     /// [`Analyzer::multi_lp`] by solver name, as [`Analyzer::lp_named`].
@@ -175,12 +184,12 @@ impl Analyzer {
     /// Direct evaluation at an arbitrary `(L, G, o)` point, with the full
     /// sensitivity gradient (see [`crate::eval::evaluate_multi`]).
     pub fn evaluate_multi(&self, at: crate::multi_lp::ParamPoint) -> crate::eval::MultiEvaluation {
-        crate::eval::evaluate_multi(&self.graph, &self.binding, at.l, at.g, at.o)
+        crate::eval::evaluate_multi(&*self.graph, &self.binding, at.l, at.g, at.o)
     }
 
     /// Exact `T(L)` profile over `[l_min, l_max]`.
     pub fn profile(&self, l_min: f64, l_max: f64) -> ParametricProfile {
-        ParametricProfile::compute(&self.graph, &self.binding, (l_min, l_max))
+        ParametricProfile::compute(&*self.graph, &self.binding, (l_min, l_max))
     }
 
     /// The x% tolerance (§II-D2) as *added* latency `∆L` above the base

@@ -4,23 +4,37 @@
 //! The runner expands a canonical [`CampaignSpec`] into its deduplicated,
 //! sorted scenario list, probes the cache for *full hits* (every grid
 //! point and the zones already present → the scenario is assembled without
-//! building its graph), dispatches the rest onto the work-stealing
-//! executor — each job computes only its cache-missing pieces — and
-//! assembles a [`CampaignResult`] whose JSON form is byte-identical across
-//! runs and thread counts: entries are ordered by canonical scenario key
-//! and contain no wall-clock data (timings live in [`RunSummary`], which
-//! is reported separately).
+//! building its graph), and dispatches the rest onto the work-stealing
+//! executor, grouped by graph key ([`Scenario::graph_key`]: app, ranks,
+//! iterations, reduction). Each key is one job:
+//!
+//! 1. it builds the reduced graph once (trace → graph → reduction);
+//! 2. it answers every cache-missing scenario of the key on that graph,
+//!    each as a job of its own: on a nested pool of the threads the key
+//!    fan-out leaves idle (`max(1, threads / keys)`), or inline on the
+//!    key's worker when there is one thread to use. Each scenario computes
+//!    only its cache-missing pieces and shards its points over its share
+//!    of the lent threads;
+//! 3. it drops the graph, so at most `threads` graphs are alive at once.
+//!
+//! A failed, panicked or timed-out build fails every scenario of its key
+//! with the same typed [`ScenarioError`]; a failed answer fails only its
+//! own scenario. The result is a [`CampaignResult`] whose JSON form is
+//! byte-identical across runs, thread counts and cache states: entries are
+//! ordered by canonical scenario key and contain no wall-clock data
+//! (timings live in [`RunSummary`], which is reported separately).
 
 use crate::cache::{
     axis_point_key, point_key, zones_key, zones_key_multi, CachedEntry, ResultCache,
 };
-use crate::executor::{run_jobs, ExecutorConfig, JobStatus};
+use crate::executor::{run_inline, run_jobs, ExecutorConfig, JobStatus};
 use crate::scenario::{
     expand, AxisPointResult, AxisPointValue, PointResult, Scenario, ScenarioOutcome, ZonesResult,
 };
 use crate::spec::CampaignSpec;
 use crate::value::Value;
-use llamp_core::{ReductionStats, SolveStats};
+use llamp_core::{Analyzer, ReductionStats, SolveStats};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How one scenario's answer was obtained (summary bookkeeping; never part
@@ -71,6 +85,12 @@ impl std::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
+impl From<String> for ScenarioError {
+    fn from(msg: String) -> Self {
+        ScenarioError::Failed(msg)
+    }
+}
+
 /// One scenario's slot in a campaign result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioResult {
@@ -117,11 +137,16 @@ pub struct RunSummary {
     /// these — like the timings — live beside, never inside, the
     /// deterministic results file).
     pub solver: SolveStats,
-    /// Aggregate graph-reduction counters across the scenarios that
-    /// ran the reduction pipeline this run (full cache hits never build
-    /// a graph, and `reduce = false` scenarios contribute nothing). Wall-clock bearing like the timings, so
-    /// reported beside — never inside — the deterministic results file.
+    /// Aggregate graph-reduction counters, summed once per graph built
+    /// this run with the reduction pipeline on: scenarios that share a
+    /// graph share its one reduction, full cache hits build nothing, and
+    /// `reduce = false` graphs contribute nothing. Wall-clock bearing
+    /// like the timings, so reported beside — never inside — the
+    /// deterministic results file.
     pub reduction: ReductionStats,
+    /// Graphs built this run: one per graph key (see
+    /// [`Scenario::graph_key`]) with at least one cache-missing scenario.
+    pub graphs_built: usize,
 }
 
 impl RunSummary {
@@ -202,17 +227,51 @@ pub fn run_campaign(
     let full_cache_hits = jobs_unique - jobs_executed;
 
     let threads = config.effective_threads().min(jobs_executed.max(1));
-    // Threads left idle by the scenario fan-out are lent to each
-    // scenario's own sweep loop (crash-started points are independent, so
-    // they shard across workers). A campaign with more scenarios than
-    // threads keeps every scenario single-threaded, exactly as before.
-    let point_threads = (config.effective_threads() / jobs_executed.max(1)).max(1);
-    let statuses = run_jobs(config, to_run.iter().map(|(_, sc)| *sc).collect(), |sc| {
-        run_one(sc, cache, point_threads)
+    // One job per graph key builds that graph once and answers all of its
+    // scenarios on it, so at most `threads` graphs are alive at once.
+    let mut keys: Vec<(String, Vec<(usize, &Scenario)>)> = Vec::new();
+    for (idx, sc) in to_run {
+        let key = sc.graph_key();
+        match keys.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, group)) => group.push((idx, sc)),
+            None => keys.push((key, vec![(idx, sc)])),
+        }
+    }
+    // Threads left idle by the key fan-out are lent to each key's answer
+    // jobs, and a scenario's share of them to its own sweep loop
+    // (crash-started points are independent, so they shard). A campaign
+    // with more keys than threads answers on the key's own worker.
+    let lent = (config.effective_threads() / keys.len().max(1)).max(1);
+    // A key job's wall clock includes its build and its answers, which
+    // each run under the per-job budget, so the key job itself runs
+    // unbudgeted.
+    let key_config = ExecutorConfig {
+        job_timeout: None,
+        ..config.clone()
+    };
+    let statuses = run_jobs(&key_config, keys.iter().collect(), |(key, group)| {
+        run_key(key, group, config, lent, cache)
     });
-    for ((idx, _), status) in to_run.iter().zip(statuses) {
-        slots[*idx] = Some(match status {
-            JobStatus::Done(Ok((outcome, inserts, stats, red))) => {
+    let mut graphs_built = 0;
+    for ((_, group), status) in keys.iter().zip(statuses) {
+        let answers = match settle(status) {
+            Ok((red, answers)) => {
+                graphs_built += 1;
+                if group[0].1.reduce {
+                    reduction.merge(&red);
+                }
+                answers
+            }
+            // A failed build fails every scenario of its key alike.
+            Err(e) => {
+                for (idx, _) in group {
+                    slots[*idx] = Some(computed(Err(e.clone())));
+                }
+                continue;
+            }
+        };
+        for ((idx, _), status) in group.iter().zip(answers) {
+            let outcome = settle(status).map(|(outcome, inserts, stats)| {
                 // Publish computed pieces only for jobs that finished
                 // within budget: a timed-out or panicked job must leave
                 // no trace, or a rerun would silently flip it from error
@@ -221,16 +280,10 @@ pub fn run_campaign(
                     cache.put(key, entry);
                 }
                 solver.merge(&stats);
-                reduction.merge(&red);
-                (Ok(outcome), Provenance::Computed)
-            }
-            JobStatus::Done(Err(msg)) => (Err(ScenarioError::Failed(msg)), Provenance::Failed),
-            JobStatus::Panicked(msg) => (Err(ScenarioError::Panicked(msg)), Provenance::Panicked),
-            JobStatus::TimedOut { elapsed } => (
-                Err(ScenarioError::TimedOut { elapsed }),
-                Provenance::TimedOut,
-            ),
-        });
+                outcome
+            });
+            slots[*idx] = Some(computed(outcome));
+        }
     }
 
     let mut scenarios = Vec::with_capacity(all.len());
@@ -261,6 +314,7 @@ pub fn run_campaign(
         provenance,
         solver,
         reduction,
+        graphs_built,
     };
     if llamp_obs::is_enabled() {
         campaign_span.field_str("name", &result.name);
@@ -341,6 +395,77 @@ pub fn run_campaign_checked(
     Ok((result, summary))
 }
 
+/// A dispatched scenario's outcome with its summary bookkeeping.
+fn computed(
+    outcome: Result<ScenarioOutcome, ScenarioError>,
+) -> (Result<ScenarioOutcome, ScenarioError>, Provenance) {
+    let provenance = match &outcome {
+        Ok(_) => Provenance::Computed,
+        Err(ScenarioError::Panicked(_)) => Provenance::Panicked,
+        Err(ScenarioError::TimedOut { .. }) => Provenance::TimedOut,
+        Err(ScenarioError::Failed(_)) => Provenance::Failed,
+    };
+    (outcome, provenance)
+}
+
+/// What a key job hands back: its build's reduction counters and each
+/// scenario's answer status, in group order.
+type KeyOutput = (ReductionStats, Vec<JobStatus<Result<JobOutput, String>>>);
+
+/// One graph key's job: build its graph once, then answer every scenario
+/// of the group on it, each as a job of its own under the per-job
+/// contract. The answers run on a nested pool of the `lent` threads, or
+/// on this thread when there is only one to use. The graph is dropped
+/// when the job returns.
+fn run_key(
+    key: &str,
+    group: &[(usize, &Scenario)],
+    config: &ExecutorConfig,
+    lent: usize,
+    cache: &ResultCache,
+) -> Result<KeyOutput, ScenarioError> {
+    let graph = settle(run_inline(config, || {
+        let span = llamp_obs::span("scenario.build");
+        if llamp_obs::is_enabled() {
+            span.field_str("workload", key);
+            span.field_u64("scenarios", group.len() as u64);
+        }
+        group[0].1.build_graph()
+    }))?;
+    let point_threads = (lent / group.len()).max(1);
+    let answer = |(_, sc): &(usize, &Scenario)| {
+        run_one(
+            sc,
+            &sc.analyzer_on(Arc::clone(&graph)),
+            cache,
+            point_threads,
+        )
+    };
+    let workers = lent.min(group.len());
+    let answers = if workers == 1 {
+        group
+            .iter()
+            .map(|job| run_inline(config, || answer(job)))
+            .collect()
+    } else {
+        let pool = ExecutorConfig {
+            threads: workers,
+            ..config.clone()
+        };
+        run_jobs(&pool, group.to_vec(), answer)
+    };
+    Ok((*graph.stats(), answers))
+}
+
+/// A job's terminal status as a scenario outcome.
+fn settle<T, E: Into<ScenarioError>>(status: JobStatus<Result<T, E>>) -> Result<T, ScenarioError> {
+    match status {
+        JobStatus::Done(r) => r.map_err(Into::into),
+        JobStatus::Panicked(msg) => Err(ScenarioError::Panicked(msg)),
+        JobStatus::TimedOut { elapsed } => Err(ScenarioError::TimedOut { elapsed }),
+    }
+}
+
 /// Probe (without counting) whether every piece of a scenario is cached;
 /// if so, replay the lookups through the counting path and assemble.
 fn assemble_from_cache(sc: &Scenario, cache: &ResultCache) -> Option<ScenarioOutcome> {
@@ -406,17 +531,24 @@ fn assemble_from_cache(sc: &Scenario, cache: &ResultCache) -> Option<ScenarioOut
     })
 }
 
-/// Execute one scenario: look up cached pieces, compute the rest. Newly
-/// computed pieces are *returned* rather than inserted — the campaign
-/// runner publishes them only when the job completes within its budget.
+/// Newly computed cache pieces, keyed. They are *returned* rather than
+/// inserted: the campaign runner publishes them only when the answer job
+/// completes within its budget.
 type ComputedInserts = Vec<(String, CachedEntry)>;
 
-/// What a computed job hands back to the campaign runner.
-type JobOutput = (ScenarioOutcome, ComputedInserts, SolveStats, ReductionStats);
+/// What a computed answer job hands back to the campaign runner.
+type JobOutput = (ScenarioOutcome, ComputedInserts, SolveStats);
 
-fn run_one(sc: &Scenario, cache: &ResultCache, point_threads: usize) -> Result<JobOutput, String> {
+/// Answer one scenario on its graph: look up cached pieces, compute the
+/// rest.
+fn run_one(
+    sc: &Scenario,
+    analyzer: &Analyzer,
+    cache: &ResultCache,
+    point_threads: usize,
+) -> Result<JobOutput, String> {
     if !sc.axes.is_empty() {
-        return run_one_axes(sc, cache);
+        return run_one_axes(sc, analyzer, cache);
     }
     let span = llamp_obs::span("scenario");
     let base = sc.base_canonical();
@@ -440,20 +572,8 @@ fn run_one(sc: &Scenario, cache: &ResultCache, point_threads: usize) -> Result<J
         _ => None,
     };
 
-    let mut reduction = ReductionStats::default();
-    let (computed_points, computed_zones, stats): (
-        Vec<PointResult>,
-        Option<ZonesResult>,
-        SolveStats,
-    ) = if missing.is_empty() && cached_zones.is_some() {
-        (Vec::new(), None, SolveStats::default())
-    } else {
-        let analyzer = sc.build_analyzer()?;
-        if sc.reduce {
-            reduction = *analyzer.reduction_stats();
-        }
-        sc.compute_with(&analyzer, &missing, cached_zones.is_none(), point_threads)?
-    };
+    let (computed_points, computed_zones, stats) =
+        sc.compute_with(analyzer, &missing, cached_zones.is_none(), point_threads)?;
 
     // Merge computed points back into grid order, collecting the inserts
     // for post-completion publication.
@@ -488,14 +608,17 @@ fn run_one(sc: &Scenario, cache: &ResultCache, point_threads: usize) -> Result<J
         },
         inserts,
         stats,
-        reduction,
     ))
 }
 
 /// The axes-campaign variant of [`run_one`]: grid points are delta
 /// *tuples*, cached at per-parameter-offset granularity so overlapping
 /// axis grids recompute only their set difference.
-fn run_one_axes(sc: &Scenario, cache: &ResultCache) -> Result<JobOutput, String> {
+fn run_one_axes(
+    sc: &Scenario,
+    analyzer: &Analyzer,
+    cache: &ResultCache,
+) -> Result<JobOutput, String> {
     let span = llamp_obs::span("scenario");
     let base = sc.base_canonical();
     if llamp_obs::is_enabled() {
@@ -519,20 +642,8 @@ fn run_one_axes(sc: &Scenario, cache: &ResultCache) -> Result<JobOutput, String>
         _ => None,
     };
 
-    let mut reduction = ReductionStats::default();
-    let (computed_points, computed_zones, stats): (
-        Vec<AxisPointValue>,
-        Option<ZonesResult>,
-        SolveStats,
-    ) = if missing.is_empty() && cached_zones.is_some() {
-        (Vec::new(), None, SolveStats::default())
-    } else {
-        let analyzer = sc.build_analyzer()?;
-        if sc.reduce {
-            reduction = *analyzer.reduction_stats();
-        }
-        sc.compute_axes(&analyzer, &missing, cached_zones.is_none())?
-    };
+    let (computed_points, computed_zones, stats) =
+        sc.compute_axes(analyzer, &missing, cached_zones.is_none())?;
 
     let mut inserts: ComputedInserts = Vec::new();
     let mut computed_iter = computed_points.into_iter();
@@ -569,7 +680,6 @@ fn run_one_axes(sc: &Scenario, cache: &ResultCache) -> Result<JobOutput, String>
         },
         inserts,
         stats,
-        reduction,
     ))
 }
 

@@ -18,6 +18,10 @@
 //! Results are returned **in input order**, so executor output is
 //! deterministic regardless of thread count or steal interleaving.
 //!
+//! [`run_inline`] gives one job the same contract (fault site, panic
+//! isolation, timeout, bounded retry) on the calling thread, for a worker
+//! whose job has sub-jobs but no spare thread to run them on.
+//!
 //! Workers inherit the caller's `llamp-faults` handle and `llamp-obs`
 //! recorder, so a campaign run under an armed spec or a recording sees
 //! its workers' faults and spans, and a nested `run_jobs` inherits them
@@ -159,35 +163,14 @@ where
                     // `exec.job` is the root span on this worker thread,
                     // so the thread's buffer flushes at every job end.
                     let job_span = llamp_obs::span("exec.job");
-                    let started = Instant::now();
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        if llamp_faults::should_inject("exec.job.panic") {
-                            panic!("injected fault: exec.job.panic");
-                        }
-                        f(&job)
-                    }));
-                    let elapsed = started.elapsed();
-                    let status = match outcome {
-                        Err(panic) => JobStatus::Panicked(panic_message(panic)),
-                        Ok(_) if timeout.is_some_and(|t| elapsed > t) => {
-                            JobStatus::TimedOut { elapsed }
-                        }
-                        Ok(r) => JobStatus::Done(r),
-                    };
+                    let (status, elapsed) = run_attempt(|| f(&job), timeout);
                     if llamp_obs::is_enabled() {
                         job_span.field_u64("idx", idx as u64);
                         job_span.field_u64("stolen", u64::from(was_stolen));
                         busy_ns += elapsed.as_nanos() as u64;
-                        llamp_obs::counter("exec.jobs", 1);
                         if was_stolen {
                             llamp_obs::counter("exec.steals", 1);
                         }
-                        match &status {
-                            JobStatus::Panicked(_) => llamp_obs::counter("exec.panics", 1),
-                            JobStatus::TimedOut { .. } => llamp_obs::counter("exec.timeouts", 1),
-                            JobStatus::Done(_) => {}
-                        }
-                        llamp_obs::observe_ns("exec.job_ns", elapsed.as_nanos() as u64);
                     }
                     drop(job_span);
                     // Bounded retry: a failed attempt below the retry
@@ -216,6 +199,51 @@ where
         .into_iter()
         .map(|s| s.expect("every job ran"))
         .collect()
+}
+
+/// Run one job on the calling thread under `config`'s per-job contract,
+/// the one [`run_jobs`] gives each of its jobs: the `exec.job.panic`
+/// fault site, panic isolation, the timeout and bounded retry. For a
+/// caller that is itself a pool worker with no thread to lend: the job
+/// runs on its thread (and allocator arena) instead of a spawned one.
+pub fn run_inline<R>(config: &ExecutorConfig, f: impl Fn() -> R) -> JobStatus<R> {
+    let mut tries = 0;
+    loop {
+        let (status, _) = run_attempt(&f, config.job_timeout);
+        if matches!(status, JobStatus::Done(_)) || tries >= config.max_retries {
+            return status;
+        }
+        tries += 1;
+        llamp_obs::counter("exec.retry", 1);
+    }
+}
+
+/// One attempt at a job: the fault site, panic isolation, the timeout
+/// check and the outcome counters.
+fn run_attempt<R>(f: impl FnOnce() -> R, timeout: Option<Duration>) -> (JobStatus<R>, Duration) {
+    let started = Instant::now();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        if llamp_faults::should_inject("exec.job.panic") {
+            panic!("injected fault: exec.job.panic");
+        }
+        f()
+    }));
+    let elapsed = started.elapsed();
+    let status = match outcome {
+        Err(panic) => JobStatus::Panicked(panic_message(panic)),
+        Ok(_) if timeout.is_some_and(|t| elapsed > t) => JobStatus::TimedOut { elapsed },
+        Ok(r) => JobStatus::Done(r),
+    };
+    if llamp_obs::is_enabled() {
+        llamp_obs::counter("exec.jobs", 1);
+        match &status {
+            JobStatus::Panicked(_) => llamp_obs::counter("exec.panics", 1),
+            JobStatus::TimedOut { .. } => llamp_obs::counter("exec.timeouts", 1),
+            JobStatus::Done(_) => {}
+        }
+        llamp_obs::observe_ns("exec.job_ns", elapsed.as_nanos() as u64);
+    }
+    (status, elapsed)
 }
 
 fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {

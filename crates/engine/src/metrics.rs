@@ -35,6 +35,7 @@ pub fn metrics_value(summary: &RunSummary, obs: &Summary) -> Value {
                     int(summary.full_cache_hits as u64),
                 ),
                 ("jobs_executed".into(), int(summary.jobs_executed as u64)),
+                ("graphs_built".into(), int(summary.graphs_built as u64)),
                 ("cache_hits".into(), int(summary.cache_hits)),
                 ("cache_misses".into(), int(summary.cache_misses)),
                 ("threads".into(), int(summary.threads as u64)),
@@ -255,12 +256,14 @@ pub fn render_metrics(doc: &Value) -> String {
         };
         out.push_str(&format!(
             "scenarios: {} requested, {} unique, {} full cache hits, {} executed\n\
+             graphs built: {}\n\
              cache: {hits} hits, {misses} misses ({rate:.1}% hit rate)\n\
              threads: {}, elapsed: {:.3}s\n",
             u("jobs_requested"),
             u("jobs_unique"),
             u("full_cache_hits"),
             u("jobs_executed"),
+            u("graphs_built"),
             u("threads"),
             run.get("elapsed_s").and_then(Value::as_f64).unwrap_or(0.0),
         ));
@@ -312,6 +315,7 @@ mod tests {
                 ..Default::default()
             },
             reduction: ReductionStats::default(),
+            graphs_built: 2,
         }
     }
 
@@ -347,6 +351,7 @@ mod tests {
         let replayed = crate::value::parse_json(&doc.to_json_pretty()).unwrap();
         assert_eq!(live, render_metrics(&replayed));
         assert!(live.contains("scenarios: 4 requested"));
+        assert!(live.contains("graphs built: 2"));
         assert!(live.contains("lp solver totals"));
         assert!(live.contains("cache.pt.hit"));
         assert!(live.contains("lp.point_ns"));

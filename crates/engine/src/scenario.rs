@@ -1,7 +1,8 @@
 //! A [`Scenario`] is one cell of a campaign's cartesian product: one
 //! workload on one topology under one parameter set, answered by one
 //! backend over the campaign's latency grid. Scenarios are the engine's
-//! unit of scheduling, caching and reporting.
+//! unit of answering, caching and reporting; scenarios with the same
+//! [`Scenario::graph_key`] share one graph build.
 
 use crate::executor::{run_jobs, ExecutorConfig};
 use crate::spec::{
@@ -9,12 +10,16 @@ use crate::spec::{
     ParamsSpec, SweepStart, TopologySpec, WorkloadSpec,
 };
 use crate::value::Value;
-use llamp_core::{Analyzer, Binding, GraphLp, ParamPoint, ReduceConfig, SolveStats, SweepParam};
+use llamp_core::{
+    Analyzer, Binding, GraphLp, ParamPoint, ReduceConfig, ReducedGraph, SolveStats, SweepParam,
+};
 use llamp_model::LogGPSParams;
 use llamp_schedgen::{graph_of_programs, GraphConfig};
 use llamp_topo::{Dragonfly, FatTree};
+use std::sync::Arc;
 
-/// One job: the atomic unit of campaign execution.
+/// One cell of a campaign: answered as one job, on a graph it shares
+/// with every scenario of its graph key.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Workload under analysis.
@@ -225,40 +230,56 @@ impl Scenario {
         p
     }
 
-    /// Build the analyzer (graph construction + binding + the reduction
-    /// pipeline when `reduce` is on). This is the expensive part of a
-    /// job; the campaign runner skips it entirely when every grid point
-    /// is already cached.
-    pub fn build_analyzer(&self) -> Result<Analyzer, String> {
-        let g = llamp_obs::span("scenario.build");
-        if llamp_obs::is_enabled() {
-            g.field_str("workload", &self.workload.canonical());
-            g.field_str("backend", self.backend.name());
-        }
-        let set = self
-            .workload
-            .app
-            .programs(self.workload.ranks, self.workload.iters as usize);
-        let graph = graph_of_programs(&set, &GraphConfig::paper())
-            .map_err(|e| format!("graph build failed: {e}"))?;
-        let params = self.effective_params();
-        let placement: Vec<u32> = (0..self.workload.ranks).collect();
+    /// The part of the scenario its reduced graph depends on: the
+    /// application, ranks, iterations and the reduction switch. The
+    /// graph is traced under [`GraphConfig::paper`] and the reduction
+    /// never reads the binding, so scenarios that differ only in
+    /// topology, parameters or backend share one graph.
+    pub fn graph_key(&self) -> String {
+        format!(
+            "{},r{},i{}|r{}",
+            self.workload.app.name().to_ascii_lowercase(),
+            self.workload.ranks,
+            self.workload.iters,
+            u8::from(self.reduce)
+        )
+    }
+
+    /// Build the scenario's model: trace → execution graph → reduction
+    /// (the identity when `reduce` is off). This is the expensive part
+    /// of a job. The trace is dropped as soon as the graph exists, and
+    /// the raw graph once it is reduced.
+    pub fn build_graph(&self) -> Result<Arc<ReducedGraph>, String> {
+        let graph = {
+            let set = self
+                .workload
+                .app
+                .programs(self.workload.ranks, self.workload.iters as usize);
+            graph_of_programs(&set, &GraphConfig::paper())
+                .map_err(|e| format!("graph build failed: {e}"))?
+        };
         let cfg = if self.reduce {
             ReduceConfig::default()
         } else {
             ReduceConfig::none()
         };
-        Ok(match &self.topology {
-            TopologySpec::Uniform => Analyzer::new_with_config(&graph, &params, &cfg),
+        Ok(Arc::new(graph.reduced(&cfg)))
+    }
+
+    /// Bind a built graph (see [`Scenario::build_graph`]) to this
+    /// scenario's topology and parameters. Cheap: no graph work.
+    pub fn analyzer_on(&self, graph: Arc<ReducedGraph>) -> Analyzer {
+        let params = self.effective_params();
+        let placement: Vec<u32> = (0..self.workload.ranks).collect();
+        let (binding, base_l) = match &self.topology {
+            TopologySpec::Uniform => (Binding::uniform(&params), params.l),
             TopologySpec::FatTree {
                 k,
                 l_wire_ns,
                 d_switch_ns,
-            } => Analyzer::with_binding_config(
-                &graph,
+            } => (
                 Binding::wire(&params, &FatTree::new(*k), &placement, *d_switch_ns),
                 *l_wire_ns,
-                &cfg,
             ),
             TopologySpec::Dragonfly {
                 groups,
@@ -266,8 +287,7 @@ impl Scenario {
                 hosts,
                 l_wire_ns,
                 d_switch_ns,
-            } => Analyzer::with_binding_config(
-                &graph,
+            } => (
                 Binding::wire(
                     &params,
                     &Dragonfly::new(*groups, *routers, *hosts),
@@ -275,9 +295,15 @@ impl Scenario {
                     *d_switch_ns,
                 ),
                 *l_wire_ns,
-                &cfg,
             ),
-        })
+        };
+        Analyzer::from_reduced(graph, binding, base_l)
+    }
+
+    /// Build the graph and bind it: [`Scenario::build_graph`] then
+    /// [`Scenario::analyzer_on`].
+    pub fn build_analyzer(&self) -> Result<Analyzer, String> {
+        Ok(self.analyzer_on(self.build_graph()?))
     }
 
     /// Answer the scenario's missing pieces with its backend.

@@ -662,3 +662,56 @@ fn reduction_keeps_double_run_byte_identity() {
     let (r2, _) = run_campaign(&s, &config(4), &ResultCache::new());
     assert_eq!(r1.to_json(), r2.to_json());
 }
+
+/// [`SPEC`] with a third backend: 2 workloads × 2 topologies × 3
+/// backends, 12 scenarios over 2 graphs.
+fn grouped_spec() -> CampaignSpec {
+    let text = SPEC.replace(
+        r#"backends = ["parametric", "eval"]"#,
+        r#"backends = ["parametric", "eval", "lp-sparse"]"#,
+    );
+    CampaignSpec::parse(&text, "grouped.toml").unwrap()
+}
+
+#[test]
+fn each_graph_is_built_once_per_run() {
+    let spec = grouped_spec();
+    let cache = ResultCache::new();
+    let (fresh, s1) = run_campaign(&spec, &config(1), &cache);
+    assert_eq!(s1.jobs_executed, 12);
+    assert_eq!(s1.graphs_built, 2, "one build per workload");
+    // The reduction totals count each build once, not once per scenario.
+    let (first, last) = (
+        &fresh.scenarios[0].scenario,
+        &fresh.scenarios[fresh.scenarios.len() - 1].scenario,
+    );
+    assert_ne!(first.graph_key(), last.graph_key());
+    let mut per_build = llamp_core::ReductionStats::default();
+    per_build.merge(first.build_graph().unwrap().stats());
+    per_build.merge(last.build_graph().unwrap().stats());
+    assert_eq!(s1.reduction.rows_before, per_build.rows_before);
+    assert_eq!(s1.reduction.rows_after, per_build.rows_after);
+
+    // A warm rerun builds nothing.
+    let (warm, s2) = run_campaign(&spec, &config(1), &cache);
+    assert_eq!(s2.graphs_built, 0);
+    assert!(s2.reduction.is_empty());
+    assert_eq!(fresh.to_json(), warm.to_json());
+
+    // Warm one workload only: the other one's graph is the only build.
+    let half_cache = ResultCache::new();
+    let mut first_only = spec.clone();
+    first_only.workloads.truncate(1);
+    let (_, s3) = run_campaign(&first_only, &config(1), &half_cache);
+    assert_eq!(s3.graphs_built, 1);
+    let (half_warm, s4) = run_campaign(&spec, &config(2), &half_cache);
+    assert_eq!(s4.full_cache_hits, 6);
+    assert_eq!(s4.graphs_built, 1);
+
+    // The grouped answers are byte-identical at any thread count and in
+    // any cache state.
+    let (fresh3, s5) = run_campaign(&spec, &config(3), &ResultCache::new());
+    assert_eq!(s5.graphs_built, 2);
+    assert_eq!(fresh.to_json(), fresh3.to_json(), "1 vs 3 threads");
+    assert_eq!(fresh.to_json(), half_warm.to_json(), "fresh vs half-warm");
+}

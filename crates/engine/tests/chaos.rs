@@ -158,25 +158,59 @@ fn unrecovered_faults_are_typed_errors_with_partial_results() {
 
 #[test]
 fn fault_budget_tolerates_bounded_failures() {
-    // Exactly one job panics (count arm), retries off.
+    // Exactly one job panics (count arm), retries off. It is the job that
+    // builds the spec's one graph, so both of its scenarios fail: the
+    // budget counts failed scenarios, not jobs.
     let armed = arm("exec.job.panic:1").install();
-    let (result, _) = run_campaign_checked(&spec(), &config(0), &ResultCache::new(), 1)
-        .expect("one failure within a budget of one must pass");
+    let (result, _) = run_campaign_checked(&spec(), &config(0), &ResultCache::new(), 2)
+        .expect("two failures within a budget of two must pass");
     drop(armed);
     let failed = result
         .scenarios
         .iter()
         .filter(|s| s.outcome.is_err())
         .count();
-    assert_eq!(failed, 1, "the failed slot stays a typed error");
+    assert_eq!(failed, 2, "the failed slots stay typed errors");
 
-    // The same single failure with a zero budget is a campaign error.
+    // The same failure with a budget of one is a campaign error.
     let armed = arm("exec.job.panic:1").install();
-    let err = run_campaign_checked(&spec(), &config(0), &ResultCache::new(), 0)
-        .expect_err("budget 0 tolerates nothing");
+    let err = run_campaign_checked(&spec(), &config(0), &ResultCache::new(), 1)
+        .expect_err("budget 1 tolerates one failed scenario");
     drop(armed);
-    assert_eq!(err.failures.len(), 1);
-    assert_eq!(err.fault_budget, 0);
+    assert_eq!(err.failures.len(), 2);
+    assert_eq!(err.fault_budget, 1);
+}
+
+#[test]
+fn a_panicked_build_fails_its_key_and_nothing_else() {
+    // Two workloads, so two graph keys. With one worker and no retries
+    // the first job to run is the first key's build, and the count arm
+    // panics it: every scenario of that key carries the same typed error,
+    // and every other scenario is the clean run's, byte for byte.
+    let two_keys = format!("{SPEC}\n[[workloads]]\napp = \"milc\"\nranks = 4\niters = 1\n");
+    let spec = CampaignSpec::parse(&two_keys, "keys.toml").unwrap();
+    let run = || run_campaign(&spec, &config(0), &ResultCache::new()).0;
+    let clean = run();
+    let (faulted, fired, _) = armed_run("exec.job.panic:1", run);
+    assert_eq!(fired, 1);
+
+    let first_key = clean.scenarios[0].scenario.graph_key();
+    let mut expected = clean.clone();
+    let mut fanned_out = 0;
+    for sr in &mut expected.scenarios {
+        if sr.scenario.graph_key() == first_key {
+            sr.outcome = Err(ScenarioError::Panicked(
+                "injected fault: exec.job.panic".into(),
+            ));
+            fanned_out += 1;
+        }
+    }
+    assert_eq!(fanned_out, 2, "both backends of the first workload");
+    assert!(expected.scenarios.len() > fanned_out);
+    assert!(faulted
+        .to_json()
+        .contains("panic: injected fault: exec.job.panic"));
+    assert_eq!(expected.to_json(), faulted.to_json());
 }
 
 #[test]

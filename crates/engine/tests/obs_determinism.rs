@@ -49,16 +49,18 @@ fn results_are_byte_identical_with_tracing_on_and_off() {
     assert_eq!(off, on_1, "telemetry must never leak into results JSON");
     assert_eq!(off, on_3, "telemetry must stay out-of-band across threads");
 
-    // The recorder actually saw the runs: spans from every layer.
+    // The recorder actually saw the runs: spans from every layer. The
+    // graph is built once per key job, beside the scenario answer jobs
+    // nested under it.
     let summary = snapshot.summary();
     for path in [
         "campaign",
         "exec.job",
         "exec.job/scenario",
-        "exec.job/scenario/scenario.build",
-        "exec.job/scenario/scenario.build/reduce",
-        "exec.job/scenario/scenario.build/schedgen.build",
-        "exec.job/scenario/scenario.build/trace.ingest",
+        "exec.job/scenario.build",
+        "exec.job/scenario.build/reduce",
+        "exec.job/scenario.build/schedgen.build",
+        "exec.job/scenario.build/trace.ingest",
         "exec.job/scenario/lp.solve",
     ] {
         assert!(
