@@ -32,10 +32,11 @@
 //!
 //! The tolerance flip (`max l` s.t. `t ≤ cap`) has a known optimal basis
 //! too: the longest-path basis at the answer `L*`, with `l` basic and
-//! `t` resting on its cap. `CrashPlan::tolerance_basis` finds `L*` by a
-//! Newton descent on the convex piecewise-linear `T(L)`, one forward pass
-//! per step, and instantiates that basis.
+//! `t` resting on its cap. `CrashPlan::tolerance_basis` finds `L*` by the
+//! Newton descent of [`crate::inverse`], one forward pass per step, and
+//! instantiates that basis.
 
+use crate::inverse::convex_inverse;
 use llamp_lp::solution::VarStatus;
 use llamp_lp::Basis;
 
@@ -66,12 +67,6 @@ pub(crate) struct CrashRow {
 }
 
 pub(crate) const NO_BASE: u32 = u32::MAX;
-
-/// Newton steps [`CrashPlan::tolerance_basis`] takes before it hands
-/// its current point to the simplex. Each step lands on a line of
-/// strictly smaller slope, so the cap binds only on envelopes with more
-/// pieces above the answer than this.
-const NEWTON_CAP: usize = 64;
 
 /// Deferred crash basis: the per-row recursion records plus the
 /// point-independent column statuses (parameters at lower bound, merge
@@ -118,26 +113,16 @@ impl CrashPlan {
     /// The crash for the tolerance flip (§II-D2): `max x_axis` subject to
     /// `t ≤ cap`, every parameter at least its value in `at` (the swept
     /// one's value is its floor). Finds the answer `x*` combinatorially —
-    /// a Newton descent from above on the convex piecewise-linear `T`,
-    /// one forward pass per step — then instantiates the longest-path
-    /// basis at `x*` with the parameter column basic and `t` resting on
-    /// its upper bound `cap`. That basis is optimal for the flipped LP up
-    /// to ties at `x*`, so the simplex certifies it without pivoting.
+    /// [`convex_inverse`] from the asymptote down, one forward pass per
+    /// step — then instantiates the longest-path basis at `x*` with the
+    /// parameter column basic and `t` resting on its upper bound `cap`.
+    /// That basis is optimal for the flipped LP up to ties at `x*`, so
+    /// the simplex certifies it without pivoting.
     ///
     /// `None` when no such basis exists: the floor already exceeds the
     /// cap (infeasible), no path depends on the parameter (unbounded), or
     /// the argmax path at `x*` is flat (the basis would be singular).
     pub fn tolerance_basis(&self, axis: usize, at: [f64; 3], cap: f64) -> Option<Basis> {
-        self.tolerance_basis_capped(axis, at, cap, NEWTON_CAP)
-    }
-
-    fn tolerance_basis_capped(
-        &self,
-        axis: usize,
-        at: [f64; 3],
-        cap: f64,
-        max_steps: usize,
-    ) -> Option<Basis> {
         let floor = at[axis];
         let point = |x: f64| {
             let mut p = at;
@@ -157,28 +142,30 @@ impl CrashPlan {
         if slope <= 0.0 {
             return None;
         }
-        let mut x = floor + ((cap - value) / slope).max(0.0);
-        let mut pass = self.forward(CrashKind::LongestPath, point(x), Some(axis));
-        // Newton from above: the argmax path's line is a supporting line
-        // of the convex `T`, so its root never undershoots `x*`.
-        for _ in 0..max_steps {
-            if pass.makespan <= cap || pass.slope <= 0.0 {
-                break;
-            }
-            let next = (x - (pass.makespan - cap) / pass.slope).max(floor);
-            if next >= x {
-                break;
-            }
-            x = next;
-            pass = self.forward(CrashKind::LongestPath, point(x), Some(axis));
-        }
-        if pass.slope <= 0.0 {
-            return None;
-        }
+        let start = floor + ((cap - value) / slope).max(0.0);
+        let mut pass = self.forward(CrashKind::LongestPath, point(start), Some(axis));
+        let at_start = (pass.makespan, pass.slope);
+        convex_inverse(
+            |x| {
+                pass = self.forward(CrashKind::LongestPath, point(x), Some(axis));
+                (pass.makespan, pass.slope)
+            },
+            floor,
+            cap,
+            start,
+            at_start,
+        );
+        (pass.slope > 0.0).then(|| self.flipped_basis(axis, &pass))
+    }
+
+    /// The flipped LP's basis at a forward pass: the pass's defining rows
+    /// tight, the parameter column on `axis` basic and `t` resting on its
+    /// cap.
+    fn flipped_basis(&self, axis: usize, pass: &Forward) -> Basis {
         let mut cols = self.col_status.clone();
         cols[axis] = VarStatus::Basic;
         cols[self.t_col as usize] = VarStatus::AtUpper;
-        Some(Basis::from_statuses(cols, self.row_status(&pass.winner)))
+        Basis::from_statuses(cols, self.row_status(&pass.winner))
     }
 
     /// Run the recursion at `at` (rows are stored in topological order,
@@ -420,17 +407,19 @@ mod tests {
         let plan = staircase();
         let full = plan.tolerance_basis(0, [0.0; 3], 11.0).unwrap();
         assert_eq!(certify(&plan, &full, 11.0), (5.0, 0));
-        // Capped before converging, the hand-over basis is a different
-        // one; the simplex still certifies the exact answer from it.
-        for steps in [0, 1] {
-            let early = plan
-                .tolerance_basis_capped(0, [0.0; 3], 11.0, steps)
-                .unwrap();
-            if steps == 0 {
-                assert_ne!(early, full, "the asymptote's piece is not the answer's");
-            }
-            assert_eq!(certify(&plan, &early, 11.0).0, 5.0, "{steps} steps");
-        }
+        // Where the descent stands after one step (5.5) is already the
+        // answer's piece; the asymptote's point (6.75) is not, and the
+        // simplex still certifies the exact answer from its basis.
+        let at = |l: f64| {
+            plan.flipped_basis(
+                0,
+                &plan.forward(CrashKind::LongestPath, [l, 0.0, 0.0], Some(0)),
+            )
+        };
+        assert_eq!(at(5.5), full);
+        let early = at(6.75);
+        assert_ne!(early, full, "the asymptote's piece is not the answer's");
+        assert_eq!(certify(&plan, &early, 11.0).0, 5.0);
     }
 
     #[test]

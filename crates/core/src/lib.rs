@@ -24,6 +24,7 @@ pub mod analyzer;
 pub mod binding;
 pub mod crash;
 pub mod eval;
+pub mod inverse;
 pub mod lowering;
 pub mod lp_build;
 pub mod multi_lp;
@@ -38,6 +39,7 @@ pub use crash::CrashKind;
 pub use eval::{
     evaluate, evaluate_multi, pair_sensitivities, Evaluation, MultiEvaluation, PairSensitivities,
 };
+pub use inverse::{convex_inverse, Inverse};
 pub use llamp_lp::SolveStats;
 pub use llamp_schedgen::{GraphView, ReduceConfig, ReducedGraph, ReductionStats};
 pub use lowering::{lower_walk, Lowered};

@@ -41,6 +41,7 @@ impl ParametricProfile {
         window: (f64, f64),
     ) -> Self {
         assert!(window.0 <= window.1, "empty latency window");
+        let span = llamp_obs::span("envelope.profile");
         let (lo, hi) = window;
         let n = graph.num_vertices();
         let mut envs: Vec<Option<Envelope>> = vec![None; n];
@@ -90,6 +91,7 @@ impl ParametricProfile {
 
         let mut envelope = global.unwrap_or_else(Envelope::zero);
         envelope.clip(lo, hi);
+        span.field_u64("breakpoints", envelope.breakpoints().len() as u64);
         Self {
             window,
             envelope,

@@ -11,7 +11,8 @@ use crate::spec::{
 };
 use crate::value::Value;
 use llamp_core::{
-    Analyzer, Binding, GraphLp, ParamPoint, ReduceConfig, ReducedGraph, SolveStats, SweepParam,
+    convex_inverse, Analyzer, Binding, GraphLp, ParamPoint, ReduceConfig, ReducedGraph, SolveStats,
+    SweepParam,
 };
 use llamp_model::LogGPSParams;
 use llamp_schedgen::{graph_of_programs, GraphConfig};
@@ -520,8 +521,8 @@ impl Scenario {
                     })
                     .collect();
                 let zones = need_zones.then(|| match self.backend {
-                    // The envelope backend answers zones exactly from the
-                    // T(L) profile (G, o at base); eval bisects.
+                    // Both answer zones along L with G and o at base: the
+                    // envelope from its T(L) profile, eval by Newton descent.
                     Backend::Parametric => {
                         let z = analyzer.tolerance_zones(hi);
                         ZonesResult {
@@ -607,37 +608,42 @@ impl Scenario {
     }
 }
 
-/// Tolerance zones via monotone bisection on direct evaluation — the
-/// backend-honest way to answer zones without an envelope.
+/// Tolerance zones from direct evaluation, exact like the envelope's:
+/// `T(L)` is convex and piecewise linear, and each evaluation returns
+/// its critical path's line, so [`convex_inverse`] descends from the top
+/// of the search window one piece per evaluation and solves the final
+/// line. The `eval.zones` span counts every evaluation, including the
+/// baseline and the window top that all three zones share.
 fn eval_zones(analyzer: &Analyzer, base: f64, hi: f64) -> ZonesResult {
+    let span = llamp_obs::span("eval.zones");
     let t0 = analyzer.evaluate(base).runtime;
-    let t_hi = analyzer.evaluate(hi).runtime;
-    let zone = |pct: f64| -> f64 {
+    let top = analyzer.evaluate(hi);
+    let at_hi = (top.runtime, top.lambda);
+    let mut evaluations = 2;
+    let mut zone = |pct: f64| -> f64 {
         let cap = t0 * (1.0 + pct / 100.0);
-        if t_hi <= cap {
+        if at_hi.0 <= cap {
             return f64::INFINITY;
         }
         if t0 > cap {
             return 0.0;
         }
-        let (mut lo, mut up) = (base, hi);
-        // 64 bisection steps: below f64 resolution on any realistic span.
-        for _ in 0..64 {
-            let mid = 0.5 * (lo + up);
-            if analyzer.evaluate(mid).runtime <= cap {
-                lo = mid;
-            } else {
-                up = mid;
-            }
-        }
-        lo - base
+        let oracle = |l: f64| {
+            let e = analyzer.evaluate(l);
+            (e.runtime, e.lambda)
+        };
+        let inv = convex_inverse(oracle, base, cap, hi, at_hi);
+        evaluations += inv.evaluations;
+        inv.x - base
     };
-    ZonesResult {
+    let zones = ZonesResult {
         baseline_runtime_ns: t0,
         pct1_ns: zone(1.0),
         pct2_ns: zone(2.0),
         pct5_ns: zone(5.0),
-    }
+    };
+    span.field_u64("evaluations", u64::from(evaluations));
+    zones
 }
 
 /// Expand a canonical spec into its scenario set, sorted by canonical key

@@ -457,9 +457,22 @@ impl CampaignSpec {
             }
         }
         for t in &self.topologies {
-            let nodes = t.num_nodes();
-            if let Some(n) = nodes {
-                if let Some(w) = self.workloads.iter().find(|w| w.ranks > n) {
+            if let TopologySpec::FatTree { k, .. } = t {
+                if *k < 2 || k % 2 != 0 {
+                    return Err(err(format!(
+                        "fattree radix k must be even and >= 2, got {k}"
+                    )));
+                }
+            }
+            if let Some(n) = t.num_nodes() {
+                if n > u64::from(u32::MAX) {
+                    return Err(err(format!(
+                        "topology {} has {n} hosts; at most {} are addressable",
+                        t.canonical(),
+                        u32::MAX
+                    )));
+                }
+                if let Some(w) = self.workloads.iter().find(|w| u64::from(w.ranks) > n) {
                     return Err(err(format!(
                         "topology {} has {n} hosts but workload {} needs {} ranks",
                         t.canonical(),
@@ -638,16 +651,21 @@ impl WorkloadSpec {
 
 impl TopologySpec {
     /// Host capacity, when the topology constrains it.
-    pub fn num_nodes(&self) -> Option<u32> {
+    pub fn num_nodes(&self) -> Option<u64> {
+        // 64-bit and saturating: a corrupt radix must not overflow.
+        let product = |xs: &[u32]| {
+            xs.iter()
+                .fold(1u64, |acc, &x| acc.saturating_mul(u64::from(x)))
+        };
         match self {
             TopologySpec::Uniform => None,
-            TopologySpec::FatTree { k, .. } => Some(k * k * k / 4),
+            TopologySpec::FatTree { k, .. } => Some(product(&[*k, *k, *k]) / 4),
             TopologySpec::Dragonfly {
                 groups,
                 routers,
                 hosts,
                 ..
-            } => Some(groups * routers * hosts),
+            } => Some(product(&[*groups, *routers, *hosts])),
         }
     }
 
@@ -941,6 +959,10 @@ fn decode_params(v: &Value) -> Result<ParamsSpec, SpecError> {
     })
 }
 
+/// Most samples a `window` may expand to: a corrupt `points` must be a
+/// spec error, not a multi-gigabyte allocation.
+const MAX_WINDOW_POINTS: usize = 1_000_000;
+
 /// Decode a delta list: either an explicit `deltas`/`deltas_ns` array or
 /// a `window = { lo, hi, points }` linspace. `None` when the table
 /// carries neither; an error when it carries more than one source (a
@@ -976,6 +998,11 @@ fn decode_deltas(v: &Value, ctx: &str) -> Result<Option<Vec<f64>>, SpecError> {
         let lo = get_f64(win, "lo")?.unwrap_or(0.0);
         let hi = get_f64(win, "hi")?.ok_or_else(|| err(format!("{ctx}.window needs 'hi'")))?;
         let points = get_u32(win, "points")?.unwrap_or(9).max(2) as usize;
+        if points > MAX_WINDOW_POINTS {
+            return Err(err(format!(
+                "{ctx}.window: {points} points (at most {MAX_WINDOW_POINTS})"
+            )));
+        }
         if hi <= lo {
             return Err(err(format!("{ctx}.window: hi must exceed lo")));
         }
@@ -1198,5 +1225,28 @@ routers = 2
 hosts = 2
 "#;
         assert!(CampaignSpec::parse(bad, "x.toml").is_err());
+    }
+
+    #[test]
+    fn validation_rejects_unbuildable_fat_trees() {
+        // An odd radix has no fat tree, and k = 5000 (a corrupt 5) has
+        // more hosts than 32-bit node ids: both are spec errors, not a
+        // panic at build time or an overflow while counting hosts.
+        for (k, want) in [(7, "even"), (0, "even"), (5000, "addressable")] {
+            let src = format!(
+                "name = \"t\"\n[[workloads]]\napp = \"milc\"\n\
+                 [[topologies]]\nkind = \"fattree\"\nk = {k}\n"
+            );
+            let e = CampaignSpec::parse(&src, "x.toml").unwrap_err();
+            assert!(e.0.contains(want), "k = {k}: {e}");
+        }
+    }
+
+    #[test]
+    fn validation_rejects_a_runaway_window() {
+        let src = "name = \"t\"\n[grid]\nwindow = { hi = 1.0, points = 4000000000 }\n\
+                   [[workloads]]\napp = \"milc\"\n";
+        let e = CampaignSpec::parse(src, "x.toml").unwrap_err();
+        assert!(e.0.contains("at most"), "{e}");
     }
 }

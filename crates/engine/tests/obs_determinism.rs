@@ -62,6 +62,8 @@ fn results_are_byte_identical_with_tracing_on_and_off() {
         "exec.job/scenario.build/schedgen.build",
         "exec.job/scenario.build/trace.ingest",
         "exec.job/scenario/lp.solve",
+        "exec.job/scenario/envelope.profile",
+        "exec.job/scenario/eval.zones",
     ] {
         assert!(
             summary.spans.iter().any(|s| s.path == path),
